@@ -150,8 +150,9 @@ def conic_config(betas) -> PointConfig:
         raise ValueError("conic parameters must be distinct")
     spec = betas[0].spec
     config = PointConfig(spec, tuple(conic_point(spec, b) for b in betas), on_conic=True)
-    # a line meets a smooth conic in at most two points; asserted, not assumed
-    assert general_position(config.points)
+    # a line meets a smooth conic in at most two points; checked, not assumed
+    if not general_position(config.points):
+        raise AssertionError("internal error: conic points not in general position")
     return config
 
 
@@ -202,7 +203,8 @@ def _points_with_action_stats(base: FieldSpec, group: Subgroup):
         if chosen is None:
             raise AssertionError("internal error: no equivariant seed found")
         value, position = chosen
-        assert position <= c + 1, "scalar found beyond the counting bound"
+        if position > c + 1:
+            raise AssertionError("internal error: scalar found beyond the counting bound")
         scalar_positions.append(position)
         i = start
         for _ in range(l):
@@ -402,7 +404,8 @@ def realize_dp5(base: FieldSpec, label: ClassLabel | str) -> SurfaceModel:
         betas, work, gen_perm, _ = _points_with_action_stats(base, rep)
         config = conic_config(betas)
         tau = frobenius_permutation(config)
-        assert tau == gen_perm, "internal error: conic action differs from generator"
+        if tau != gen_perm:
+            raise AssertionError("internal error: conic action differs from generator")
         model = SurfaceModel(
             degree=5,
             spec=work,
@@ -458,7 +461,10 @@ def model_from_json(data: dict) -> SurfaceModel:
         PlanePoint(spec, tuple(FFElem(spec, tuple(c)) for c in coords))
         for coords in data["points"]
     )
-    config = PointConfig(spec, points, on_conic=bool(data.get("on_conic")))
+    on_conic = data.get("on_conic", False)
+    if not isinstance(on_conic, bool):
+        raise ValueError(f"on_conic must be a JSON boolean, not {on_conic!r}")
+    config = PointConfig(spec, points, on_conic=on_conic)
     degree = int(data["degree"])
     vertex = data.get("blowdown_vertex")
     return SurfaceModel(

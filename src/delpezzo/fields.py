@@ -219,6 +219,8 @@ def parse_field_literal(text: str) -> FieldSpec:
     if ":" not in text and "^" in head:
         # "p^e" alone denotes the base field F_{p^e}
         base = m
+    if m < 1 or base < 1:
+        raise ValueError(f"exponent and base degree must be at least 1 in {text!r}")
     if m % base:
         raise ValueError("base degree must divide the absolute degree")
     return make_field(p, base, m // base)

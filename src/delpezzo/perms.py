@@ -431,11 +431,15 @@ def class_names(degree_context: int) -> tuple[str, ...]:
 
 # --- subgroup lattice of the ambient group ----------------------------------
 #
-# All subgroups are enumerated once per ambient group by closing a pool of
-# cyclic subgroups under pairwise joins, deduplicating by element set; the
-# result is cached, so classification is a dictionary lookup afterwards.
-# Elements are handled as indices into the sorted ambient element list and
-# subgroups as bitmasks over those indices.
+# Every subgroup of S5 and of the hexagon group is generated by two elements,
+# so the cyclic subgroups together with the joins of every pair of them are
+# all the subgroups (156 in degree 5, 16 in degree 6): one pass of pairwise
+# closures enumerates them.  A class is keyed by its smallest conjugate, so
+# labelling is a dictionary lookup; the lattice is cached per ambient group.
+# Elements are indices into the sorted ambient element list and subgroups are
+# bitmasks over those indices.  tests/test_perms.py::TestSubgroupLattice pins
+# the result with independently derived counts (order census, class sizes),
+# and selfcheck.check_class_census re-derives them.
 
 class _Lattice:
     def __init__(self, degree_context: int):
@@ -445,15 +449,32 @@ class _Lattice:
             elems = hexagon_group_elements()
         else:
             raise ValueError("unsupported degree")
-        self.degree_context = degree_context
         self.elems = elems
         self.index = {g: i for i, g in enumerate(elems)}
-        n = len(elems)
         self.mul = [[self.index[a * b] for b in elems] for a in elems]
         self.inv = [self.index[a.inverse()] for a in elems]
-        self.masks = self._all_subgroup_masks()
-        self.class_of, self.class_members = self._conjugacy_classes()
-        self.label_of_class, self.rep_subgroup = self._pin_labels()
+        cyclic = {self._closure_mask((i,)): i for i in range(len(elems))}
+        masks = set(cyclic)
+        masks.update(
+            self._closure_mask(pair)
+            for pair in itertools.combinations(cyclic.values(), 2)
+        )
+        self.masks = tuple(
+            sorted(masks, key=lambda m: (m.bit_count(), self._mask_indices(m)))
+        )
+        pinned: dict[int, str] = {}
+        self.rep_subgroup: dict[str, Subgroup] = {}
+        for name, gens in _pinned_reps(degree_context):
+            mask = self._closure_mask(tuple(self.index[g] for g in gens))
+            canon = self._canonical(mask)
+            if canon in pinned:
+                raise RuntimeError("two pinned representatives are conjugate")
+            pinned[canon] = name
+            self.rep_subgroup[name] = self.subgroup_from_mask(mask, generators=gens)
+        try:
+            self.label_of = {m: pinned[self._canonical(m)] for m in self.masks}
+        except KeyError:
+            raise RuntimeError("pinned representatives do not cover every class") from None
 
     def _closure_mask(self, gen_idxs: Sequence[int]) -> int:
         mul = self.mul
@@ -473,29 +494,6 @@ class _Lattice:
             frontier = new
         return mask
 
-    def _all_subgroup_masks(self) -> tuple[int, ...]:
-        n = len(self.elems)
-        cyclic: dict[int, int] = {}
-        for i in range(n):
-            cyclic.setdefault(self._closure_mask((i,)), i)
-        gensets: dict[int, tuple[int, ...]] = {m: (g,) for m, g in cyclic.items()}
-        frontier = list(gensets)
-        while frontier:
-            new = []
-            for a in frontier:
-                a_gens = gensets[a]
-                for c, cg in cyclic.items():
-                    if c & a == c:
-                        continue
-                    j = self._closure_mask(a_gens + (cg,))
-                    if j not in gensets:
-                        gensets[j] = a_gens + (cg,)
-                        new.append(j)
-            frontier = new
-        return tuple(
-            sorted(gensets, key=lambda m: (m.bit_count(), self._mask_indices(m)))
-        )
-
     @staticmethod
     def _mask_indices(mask: int) -> tuple[int, ...]:
         out = []
@@ -507,39 +505,13 @@ class _Lattice:
             i += 1
         return tuple(out)
 
-    def _conjugate_mask(self, mask: int, g: int) -> int:
-        mul, inv_g = self.mul, self.inv[g]
-        out = 0
-        for a in self._mask_indices(mask):
-            out |= 1 << mul[mul[g][a]][inv_g]
-        return out
-
-    def _conjugacy_classes(self) -> tuple[dict[int, int], list[list[int]]]:
-        class_of: dict[int, int] = {}
-        members: list[list[int]] = []
-        for mask in self.masks:
-            if mask in class_of:
-                continue
-            cid = len(members)
-            orbit = sorted({self._conjugate_mask(mask, g) for g in range(len(self.elems))})
-            for m in orbit:
-                class_of[m] = cid
-            members.append(orbit)
-        return class_of, members
-
-    def _pin_labels(self) -> tuple[dict[int, str], dict[str, Subgroup]]:
-        label_of_class: dict[int, str] = {}
-        reps: dict[str, Subgroup] = {}
-        for name, gens in _pinned_reps(self.degree_context):
-            mask = self._closure_mask(tuple(self.index[g] for g in gens))
-            cid = self.class_of[mask]
-            if cid in label_of_class:
-                raise RuntimeError("two pinned representatives are conjugate")
-            label_of_class[cid] = name
-            reps[name] = self.subgroup_from_mask(mask, generators=gens)
-        if len(label_of_class) != len(self.class_members):
-            raise RuntimeError("pinned representatives do not cover every class")
-        return label_of_class, reps
+    def _canonical(self, mask: int) -> int:
+        """The smallest conjugate g*H*g^-1 of the subgroup H, as a bitmask."""
+        mul, inv, idxs = self.mul, self.inv, self._mask_indices(mask)
+        return min(
+            sum(1 << mul[mul[g][a]][inv[g]] for a in idxs)
+            for g in range(len(self.elems))
+        )
 
     def subgroup_from_mask(self, mask: int, generators: Sequence[Perm] | None = None) -> Subgroup:
         elems = [self.elems[i] for i in self._mask_indices(mask)]
@@ -580,8 +552,7 @@ def subgroup_classes(degree_context: int) -> tuple[tuple[ClassLabel, Subgroup], 
 def class_label(group: Subgroup, degree_context: int) -> ClassLabel:
     """The canonical label of the conjugacy class of a subgroup."""
     lat = _lattice(degree_context)
-    cid = lat.class_of[lat.mask_of(group)]
-    return ClassLabel(degree_context, lat.label_of_class[cid])
+    return ClassLabel(degree_context, lat.label_of[lat.mask_of(group)])
 
 
 def all_subgroups(degree_context: int) -> tuple[Subgroup, ...]:

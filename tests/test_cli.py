@@ -180,6 +180,11 @@ class TestRealizeAndVerify:
         assert code == 1
         assert "error" in json.loads(out)
 
+    def test_zero_exponent_field_literal(self):
+        code, out = run("realize", "--field", "3^0", "--type", "[e]")
+        assert code == 1
+        assert "at least 1" in json.loads(out)["error"]
+
     def test_missing_input_file(self):
         code, out = run("verify", "--input", "/nonexistent/model.json")
         assert code == 1

@@ -1,10 +1,15 @@
 """Point configurations, equivariant parameter sets, and realization sweeps."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import delpezzo
 from delpezzo.construct import (
     PlanePoint,
     PointConfig,
@@ -241,6 +246,25 @@ class TestConicConfig:
         with pytest.raises(ValueError, match="distinct"):
             conic_config([one(F7), one(F7), FFElem(F7, (2,))])
 
+    def test_general_position_check_survives_optimize(self):
+        # python -O strips bare asserts; the check must still raise
+        script = (
+            "import delpezzo.construct as C\n"
+            "from delpezzo.fields import FFElem, parse_field_literal\n"
+            "C.general_position = lambda points: False\n"
+            "F7 = parse_field_literal('7')\n"
+            "try:\n"
+            "    C.conic_config([FFElem(F7, (t,)) for t in (0, 1, 3, 5, 6)])\n"
+            "except AssertionError as err:\n"
+            "    print(err)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(delpezzo.__file__).parent.parent))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "internal error: conic points not in general position" in proc.stdout
+
     def test_stability_is_inherited(self):
         betas = points_with_action(F2, class_representative("[Z/6Z]", 5))
         config = conic_config(betas)
@@ -420,6 +444,18 @@ class TestJsonRoundTrip:
         data["on_conic"] = False
         assert any(name == "construction tag consistent" and not ok
                    for name, ok, _ in verify_json(data))
+
+    def test_zero_base_degree_fails_parse(self):
+        data = realize_dp5(F7, "[Z/4Z]").to_json()
+        data["field"] = "3^4:base=0"
+        [(name, ok, detail)] = verify_json(data)
+        assert name == "model parses" and not ok and "at least 1" in detail
+
+    def test_non_boolean_conic_marker_fails_parse(self):
+        data = realize_dp5(F7, "[Z/4Z]").to_json()
+        data["on_conic"] = "no"
+        [(name, ok, detail)] = verify_json(data)
+        assert name == "model parses" and not ok and "JSON boolean" in detail
 
     def test_collinear_fourpoint_model_fails_verification(self):
         model = small_field_realize(F3, "[<(1,2)>]")

@@ -89,6 +89,11 @@ class TestLiterals:
         with pytest.raises(ValueError):
             parse_field_literal("abc")
 
+    @pytest.mark.parametrize("text", ["3^0", "2^2:base=0", "2^0:base=0"])
+    def test_degree_below_one_rejected(self, text):
+        with pytest.raises(ValueError, match="at least 1"):
+            parse_field_literal(text)
+
 
 class TestFieldAxioms:
     SPECS = [(2, 1, 2), (3, 1, 2), (2, 1, 3), (5, 1, 2), (2, 2, 2), (3, 2, 1)]

@@ -237,6 +237,17 @@ class TestSubgroupLattice:
                     if sub != over and sub <= over:
                         assert P.contains_order5(over), (name, over)
 
+    def test_conjugate_pinned_representatives_rejected(self, monkeypatch):
+        reps = P._REP_GENS_6 + (("[dup]", (("(2 3)", 0),)),)
+        monkeypatch.setattr(P, "_REP_GENS_6", reps)
+        with pytest.raises(RuntimeError, match="are conjugate"):
+            P._Lattice(6)
+
+    def test_pinned_representatives_must_cover_every_class(self, monkeypatch):
+        monkeypatch.setattr(P, "_REP_GENS_6", P._REP_GENS_6[:-1])
+        with pytest.raises(RuntimeError, match="do not cover every class"):
+            P._Lattice(6)
+
 
 class TestHexagonGroup:
     def test_twelve_elements(self):
