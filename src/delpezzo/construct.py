@@ -21,17 +21,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from math import lcm
 
 from .curvegraphs import blowdown_action, curve_graph, graph_action, invariant_vertices, VertexPerm
 from .fields import (
     FieldSpec,
     FFElem,
-    element_degree,
     elements_of_degree,
     frobenius,
-    from_index,
     make_field,
     one,
     parse_field_literal,
@@ -170,11 +167,6 @@ def frobenius_permutation(config: PointConfig) -> Perm:
 
 # --- the inductive equivariant point-set algorithm ---------------------------
 
-def _base_scalars(work: FieldSpec) -> tuple[FFElem, ...]:
-    """Nonzero base-field elements in canonical index order."""
-    return subfield_elements(work)[1:]
-
-
 def _points_with_action_stats(base: FieldSpec, group: Subgroup):
     gen_perm = cyclic_generator(group)
     if group.degree != 5:
@@ -193,7 +185,8 @@ def _points_with_action_stats(base: FieldSpec, group: Subgroup):
         start = min(orbit)
         chosen = None
         for seed in elements_of_degree(work, l):
-            for position, a in enumerate(_base_scalars(work), start=1):
+            # the nonzero base scalars, lazily and in index order
+            for position, a in enumerate(elements_of_degree(work, 1), start=1):
                 candidate = a * seed
                 if candidate not in placed:
                     chosen = (candidate, position)

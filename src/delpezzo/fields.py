@@ -19,6 +19,7 @@ cached F_p-linear matrices, so repeated orbit scans stay cheap.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -201,8 +202,15 @@ def make_field(p: int, base_degree: int, relative_degree: int) -> FieldSpec:
     raise RuntimeError("unreachable: an irreducible of every degree exists")
 
 
+# Literal ceilings, checked before any field is built.  No working field needs
+# a relative degree above 6, the largest lcm of Frobenius orbit lengths.
+MAX_CHARACTERISTIC = 2 ** 16
+MAX_BASE_FIELD = 2 ** 40
+MAX_RELATIVE_DEGREE = 6
+
+
 def parse_field_literal(text: str) -> FieldSpec:
-    """Parse "p^m:base=e" (or "p^e" / "p" for a plain base field)."""
+    """Parse "p^m:base=e" (or "p^e" / "p" for a base field) below the ceilings."""
     base = 1
     if ":" in text:
         head, _, tail = text.partition(":")
@@ -223,6 +231,12 @@ def parse_field_literal(text: str) -> FieldSpec:
         raise ValueError(f"exponent and base degree must be at least 1 in {text!r}")
     if m % base:
         raise ValueError("base degree must divide the absolute degree")
+    if p >= MAX_CHARACTERISTIC:
+        raise ValueError(f"characteristic must be below 2^16 in {text!r}")
+    if base > 40 or p ** base > MAX_BASE_FIELD:
+        raise ValueError(f"base field must have at most 2^40 elements in {text!r}")
+    if m // base > MAX_RELATIVE_DEGREE:
+        raise ValueError(f"relative degree must be at most 6 in {text!r}")
     return make_field(p, base, m // base)
 
 
@@ -415,25 +429,26 @@ def _nullspace_mod(matrix, p):
     return basis
 
 
-@lru_cache(maxsize=None)
-def _subfield_vectors(spec: FieldSpec, l: int) -> tuple[tuple[int, ...], ...]:
-    """All elements of F_{q^l} inside the field, as vectors sorted by index."""
+def _subfield_vectors(spec: FieldSpec, l: int) -> Iterator[tuple[int, ...]]:
+    """The elements of F_{q^l} inside the field, as vectors in ascending index.
+
+    Counts over F_p in the kernel basis of frobenius^l - 1, first basis
+    vector as the least significant digit.  That is index order: Gauss-Jordan
+    runs over ascending columns, so the vector of free column c has its highest
+    nonzero coordinate at c and every other basis vector is 0 at c.  At l = n
+    the map is 0, the basis is the standard one and this is the index scan.
+    """
     p, m = spec.p, spec.m
-    frob_l = _frob_matrix(spec, l)
+    frob_l = _frob_matrix(spec, l % spec.n)
     delta = tuple(
         tuple((frob_l[i][j] - (1 if i == j else 0)) % p for j in range(m))
         for i in range(m)
     )
-    basis = _nullspace_mod(delta, p)
-    vectors = [(0,) * m]
-    for b in basis:
-        vectors = [
-            tuple((v[i] + c * b[i]) % p for i in range(m))
-            for v in vectors
-            for c in range(p)
-        ]
-    key = lambda v: sum(c * p ** i for i, c in enumerate(v))
-    return tuple(sorted(set(vectors), key=key))
+    basis = _nullspace_mod(delta, p)[::-1]  # product() varies its last digit fastest
+    for digits in itertools.product(range(p), repeat=len(basis)):
+        yield tuple(
+            sum(d * b[i] for d, b in zip(digits, basis)) % p for i in range(m)
+        )
 
 
 def subfield_elements(spec: FieldSpec) -> tuple[FFElem, ...]:
@@ -445,18 +460,9 @@ def elements_of_degree(spec: FieldSpec, l: int) -> Iterator[FFElem]:
     """Elements of exact degree l over the base, ascending canonical index."""
     if l < 1 or spec.n % l:
         raise ValueError("l does not divide the relative degree")
-    proper = [k for k in range(1, l) if l % k == 0]
-    mats = {k: _frob_matrix(spec, k) for k in proper}
-    p = spec.p
-    if l == spec.n:
-        # the whole field: scan lazily (x itself appears almost immediately)
-        source: Iterator[tuple[int, ...]] = (
-            from_index(spec, t).padded() for t in range(1, spec.size)
-        )
-    else:
-        source = iter(v for v in _subfield_vectors(spec, l) if any(v))
-    for vec in source:
-        if all(_matvec(mats[k], vec, p) != vec for k in proper):
+    mats = [_frob_matrix(spec, k) for k in range(1, l) if l % k == 0]
+    for vec in _subfield_vectors(spec, l):
+        if any(vec) and all(_matvec(mat, vec, spec.p) != vec for mat in mats):
             yield FFElem(spec, vec)
 
 

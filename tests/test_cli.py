@@ -1,12 +1,20 @@
 """Command-line interface: output contracts, exit codes, JSON determinism."""
 
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import delpezzo
 from delpezzo.cli import main
+
+SRC = Path(delpezzo.__file__).resolve().parent.parent
 
 
 def run(*argv):
@@ -185,6 +193,13 @@ class TestRealizeAndVerify:
         assert code == 1
         assert "at least 1" in json.loads(out)["error"]
 
+    def test_f101_order_six_model_is_pinned(self):
+        # byte-for-byte reproducible output, pinned by its SHA-256
+        code, out = run("realize", "--field", "101", "--type", "[Z/6Z]", "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "513dcbef2a782f2fb6a3dcc6ddfaa2af8332a471799223965aa8ec8848ef5f8a"
+
     def test_missing_input_file(self):
         code, out = run("verify", "--input", "/nonexistent/model.json")
         assert code == 1
@@ -193,6 +208,37 @@ class TestRealizeAndVerify:
     def test_verify_requires_input_flag(self):
         code, _ = run("verify")
         assert code == 2
+
+
+def run_bounded(*argv):
+    """The CLI in a child process that must finish within 60 s."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "delpezzo", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    return proc.returncode, proc.stdout
+
+
+class TestLargeFields:
+    # Building a whole base field or cubic subfield here takes minutes; the
+    # 60 s bound turns such a regression into a failure instead of a hang.
+    @pytest.mark.parametrize("field, label", [
+        ("2^40", "[e]"), ("2^8", "[Z/6Z]"), ("1009", "[Z/6Z]"), ("2^16", "[Z/6Z]"),
+    ])
+    def test_realize_then_verify(self, tmp_path, field, label):
+        path = tmp_path / "model.json"
+        code, out = run_bounded("realize", "--field", field, "--type", label,
+                                "--output", str(path))
+        assert code == 0, out
+        code, out = run_bounded("verify", "--input", str(path))
+        assert code == 0 and "FAIL" not in out, out
+        assert "PASS type matches" in out
+
+    def test_oversized_characteristic_rejected_up_front(self):
+        # trial division would stall on this prime; the ceiling answers first
+        code, out = run_bounded("realize", "--field",
+                                "1000000000000000000000000000057", "--type", "[e]")
+        assert code == 1
+        assert "below 2^16" in json.loads(out)["error"]
 
 
 class TestMinimal:

@@ -451,6 +451,12 @@ class TestJsonRoundTrip:
         [(name, ok, detail)] = verify_json(data)
         assert name == "model parses" and not ok and "at least 1" in detail
 
+    def test_oversized_field_fails_parse(self):
+        data = realize_dp5(F7, "[Z/4Z]").to_json()
+        data["field"] = "2^1000:base=1"
+        [(name, ok, detail)] = verify_json(data)
+        assert name == "model parses" and not ok and "at most 6" in detail
+
     def test_non_boolean_conic_marker_fails_parse(self):
         data = realize_dp5(F7, "[Z/4Z]").to_json()
         data["on_conic"] = "no"

@@ -1,6 +1,7 @@
 """Finite-field arithmetic: canonical moduli, axioms, Frobenius, degrees."""
 
 import random
+import re
 
 import pytest
 
@@ -94,6 +95,23 @@ class TestLiterals:
         with pytest.raises(ValueError, match="at least 1"):
             parse_field_literal(text)
 
+    @pytest.mark.parametrize("text, message", [
+        ("65537", "below 2^16"),
+        ("2^41", "at most 2^40"),
+        ("3^26", "at most 2^40"),
+        ("2^10000000000", "at most 2^40"),
+        ("2^7:base=1", "at most 6"),
+        ("2^1000:base=1", "at most 6"),
+    ])
+    def test_oversized_literal_rejected(self, text, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_field_literal(text)
+
+    def test_largest_literals_accepted(self):
+        assert parse_field_literal("65521").q == 65521
+        assert parse_field_literal("2^40").q == 2 ** 40
+        assert parse_field_literal("2^12:base=2").n == 6
+
 
 class TestFieldAxioms:
     SPECS = [(2, 1, 2), (3, 1, 2), (2, 1, 3), (5, 1, 2), (2, 2, 2), (3, 2, 1)]
@@ -145,7 +163,8 @@ class TestFrobenius:
                 assert frobenius(a) == a**spec.q
 
     def test_fixed_set_is_exactly_the_base_field(self):
-        for p, e, n in [(2, 1, 3), (2, 2, 2), (3, 1, 2), (3, 2, 1), (2, 1, 4)]:
+        for p, e, n in [(2, 1, 3), (2, 2, 2), (3, 1, 2), (3, 2, 1), (2, 1, 4),
+                        (2, 2, 3), (2, 3, 2)]:
             spec = make_field(p, e, n)
             fixed = [x for x in field_elements(spec) if frobenius(x) == x]
             assert len(fixed) == spec.q
@@ -210,18 +229,21 @@ class TestElementDegrees:
             x for x in field_elements(spec)
             if x != zero(spec) and element_degree(x) == 2
         ]
-        # the l == n path scans ascending; brute scan is ascending by design
+        # at l == n the kernel basis is the standard one: an index scan
         assert listed == brute
         assert len(listed) == 16 - 4
 
     def test_enumeration_subfield_path(self):
-        spec = make_field(2, 1, 6)  # l=2 < n: kernel-subspace path
-        listed = list(elements_of_degree(spec, 2))
-        brute = [
-            x for x in field_elements(spec)
-            if x != zero(spec) and element_degree(x) == 2
-        ]
-        assert listed == brute and len(listed) == 2
+        # l < n: counting over a kernel basis that is not the standard one
+        for p, e, n, l, count in [(2, 1, 6, 2, 2), (2, 1, 6, 3, 6), (3, 1, 6, 2, 6),
+                                  (3, 1, 6, 3, 24), (5, 1, 4, 2, 20)]:
+            spec = make_field(p, e, n)
+            listed = list(elements_of_degree(spec, l))
+            brute = [
+                x for x in field_elements(spec)
+                if x != zero(spec) and element_degree(x) == l
+            ]
+            assert listed == brute and len(listed) == count
 
     def test_orbit_size_equals_degree(self):
         spec = make_field(3, 1, 2)
