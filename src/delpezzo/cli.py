@@ -11,6 +11,7 @@ import argparse
 import json
 import re
 import sys
+from functools import lru_cache
 
 from .classify import aut_table
 from .construct import realize_dp5, realize_dp6, verify_json
@@ -25,7 +26,9 @@ from .perms import (
 from .picard import invariant_rank, is_g_minimal
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: check-paper calls main often."""
     parser = argparse.ArgumentParser(
         prog="delpezzo",
         description="Exact classification and construction of degree-5 and "

@@ -110,8 +110,13 @@ def _pinv(a, mod, p):
     return _pnorm(tuple((c * inv_lead) % p for c in s0))
 
 
+@lru_cache(maxsize=256)
 def _is_irreducible(f: tuple[int, ...], p: int) -> bool:
-    """No root in any F_{p^k} for k <= deg(f)/2, via gcd with x^(p^k) - x."""
+    """No root in any F_{p^k} for k <= deg(f)/2, via gcd with x^(p^k) - x.
+
+    Cached, so the FieldSpec that make_field builds from the modulus its
+    search has just accepted does not repeat the proof.
+    """
     m = len(f) - 1
     if m < 1:
         return False
@@ -429,6 +434,18 @@ def _nullspace_mod(matrix, p):
     return basis
 
 
+@lru_cache(maxsize=None)
+def _subfield_basis(spec: FieldSpec, l: int) -> tuple[tuple[int, ...], ...]:
+    """Kernel basis of frobenius^l - 1, last free column first."""
+    p, m = spec.p, spec.m
+    frob_l = _frob_matrix(spec, l % spec.n)
+    delta = tuple(
+        tuple((frob_l[i][j] - (1 if i == j else 0)) % p for j in range(m))
+        for i in range(m)
+    )
+    return tuple(_nullspace_mod(delta, p)[::-1])  # product() varies its last digit fastest
+
+
 def _subfield_vectors(spec: FieldSpec, l: int) -> Iterator[tuple[int, ...]]:
     """The elements of F_{q^l} inside the field, as vectors in ascending index.
 
@@ -439,12 +456,7 @@ def _subfield_vectors(spec: FieldSpec, l: int) -> Iterator[tuple[int, ...]]:
     the map is 0, the basis is the standard one and this is the index scan.
     """
     p, m = spec.p, spec.m
-    frob_l = _frob_matrix(spec, l % spec.n)
-    delta = tuple(
-        tuple((frob_l[i][j] - (1 if i == j else 0)) % p for j in range(m))
-        for i in range(m)
-    )
-    basis = _nullspace_mod(delta, p)[::-1]  # product() varies its last digit fastest
+    basis = _subfield_basis(spec, l)
     for digits in itertools.product(range(p), repeat=len(basis)):
         yield tuple(
             sum(d * b[i] for d, b in zip(digits, basis)) % p for i in range(m)

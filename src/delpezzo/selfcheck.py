@@ -327,9 +327,11 @@ def check_realization_sweep() -> tuple[bool, str]:
     cyclic = _cyclic_labels(5)
     non_cyclic = [n for n in class_names(5) if n not in cyclic]
     positives = negatives = 0
+    # One file per model: verify cannot pass on a stale model, and no file is
+    # overwritten just after it was written, which can stall for tens of ms.
     with tempfile.TemporaryDirectory() as tmp:
-        model_path = os.path.join(tmp, "model.json")
         for (literal, q), label in itertools.product(_FIELD_LITERALS, cyclic):
+            model_path = os.path.join(tmp, f"model-{positives}.json")
             code, out = _run_cli(
                 "realize", "--field", literal, "--type", label,
                 "--json", "--output", model_path,
@@ -380,10 +382,10 @@ def check_degree6_pipeline() -> tuple[bool, str]:
     cyclic = _cyclic_labels(6)
     count = 0
     with tempfile.TemporaryDirectory() as tmp:
-        model_path = os.path.join(tmp, "model.json")
         for (literal, q), label in itertools.product(
             (("2", 2), ("3", 3), ("2^2", 4)), cyclic
         ):
+            model_path = os.path.join(tmp, f"model-{count}.json")
             code, out = _run_cli(
                 "realize", "--field", literal, "--degree", "6",
                 "--type", label, "--json", "--output", model_path,

@@ -6,10 +6,12 @@ import json
 import os
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import delpezzo
 from delpezzo.cli import main
@@ -319,3 +321,68 @@ class TestTopLevel:
         )
         assert proc.returncode == 0
         assert "[S3xZ/2]" in proc.stdout
+
+
+# The parser's own vocabulary: each command's options, with values drawn from
+# sample values or junk.  check-paper and --output are left out (slow; writes
+# files), and --input always names a real model file.
+_MODEL = "<model file>"
+_DEGREES = ["5", "6"]
+_GENS = ["(1 2 3 4 5)", "(1 2)", "(4 5)", "(1 2)(3 4); (1 3)(2 4)", "()"]
+_COMMANDS = {
+    "classes": {"--degree": _DEGREES, "--json": None},
+    "aut-table": {"--json": None},
+    "graph": {"--degree": _DEGREES, "--dot": None, "--orbits": _GENS},
+    "realize": {"--field": ["2", "7", "3^2", "2^2:base=1"], "--degree": _DEGREES,
+                "--type": ["[e]", "[Z/5Z]", "[Z/6Z]", "[S4]", "[<(id,1)>]"],
+                "--json": None},
+    "verify": {"--input": [_MODEL]},
+    "minimal": {"--group": _GENS, "--galois": _GENS, "--json": None},
+    "blowdown": {"--subgroup": _GENS, "--vertex": ["{4,5}", "{1,2}"],
+                 "--json": None},
+}
+# Junk never starts with "-", so it cannot abbreviate --output or --input.
+_JUNK = st.text(max_size=8).filter(lambda t: not t.startswith("-"))
+
+
+def _option(name, values):
+    if values is None:
+        return st.just([name])
+    if name == "--input":
+        return st.just([name, _MODEL])
+    return st.tuples(st.just(name), st.sampled_from(values) | _JUNK).map(list)
+
+
+def _command_argv(command):
+    options = _COMMANDS[command]
+    return st.builds(
+        lambda chosen, stray: [command] + [t for o in chosen for t in o] + stray,
+        st.lists(st.one_of([_option(k, v) for k, v in options.items()]),
+                 max_size=len(options) + 1),
+        st.lists(st.sampled_from(["--help", "-h", "frobnicate"]) | _JUNK,
+                 max_size=1),
+    )
+
+
+_ARGV = st.sampled_from(sorted(_COMMANDS)).flatmap(_command_argv)
+
+
+@pytest.fixture(scope="module")
+def model_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    assert run("realize", "--field", "7", "--type", "[Z/5Z]",
+               "--output", str(path))[0] == 0
+    return str(path)
+
+
+class TestParserReuse:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(calls=st.lists(_ARGV, min_size=1, max_size=6))
+    def test_any_call_sequence_leaves_no_state(self, model_file, calls):
+        before = run("classes", "--degree", "6", "--json")
+        for argv in calls:
+            argv = [model_file if t == _MODEL else t for t in argv]
+            with redirect_stderr(io.StringIO()):
+                code, _ = run(*argv)
+            assert code in (0, 1, 2), argv
+        assert run("classes", "--degree", "6", "--json") == before
