@@ -173,11 +173,14 @@ def _cmd_realize(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.input == "-":
-        data = json.load(sys.stdin)
-    else:
-        with open(args.input, encoding="utf-8") as fh:
-            data = json.load(fh)
+    try:
+        if args.input == "-":
+            data = json.load(sys.stdin)
+        else:
+            with open(args.input, encoding="utf-8") as fh:
+                data = json.load(fh)
+    except RecursionError:
+        raise ValueError("model JSON is nested too deeply") from None
     checks = verify_json(data)
     for name, ok, detail in checks:
         suffix = f" ({detail})" if detail else ""

@@ -8,8 +8,8 @@ Two constructions are implemented exactly.
   field has more than c(H) elements, where c is the orbit-multiplicity
   complexity from ``perms``.
 * Four-point construction: blowing up four points of the projective plane
-  in general position; the type is read off the induced permutation of the
-  ten combinatorial (-1)-classes (four exceptional classes and six lines).
+  in general position; Frobenius permutes the ten (-1)-classes (four
+  exceptional classes and six lines) as it permutes the points, fixing 5.
   This covers the small fields the conic construction cannot reach.
 
 The blow-down of a Galois-invariant vertex converts a degree-5 model into a
@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from math import lcm
 
-from .curvegraphs import blowdown_action, curve_graph, graph_action, invariant_vertices, VertexPerm
+from .curvegraphs import blowdown_action, invariant_vertices
 from .fields import (
     FieldSpec,
     FFElem,
@@ -44,9 +44,10 @@ from .perms import (
     complexity,
     cyclic_generator,
     generate,
+    hex_decompose,
+    hex_embed_s5,
     orbits,
     parse_perm,
-    symmetric_group_elements,
 )
 
 CONSTRUCTION_TAGS = ("conic5", "fourpoints", "conic5_blowdown", "fourpoints_blowdown")
@@ -247,10 +248,10 @@ class SurfaceModel:
             raise ValueError("blow-down vertex is for degree-6 models only")
 
     def galois_image(self) -> Subgroup:
-        """The image of Frobenius in S5 (via the ten-class action for 4-point models)."""
+        """The image of Frobenius in S5 (recomputed from the points for 4-point models)."""
         if len(self.config) == 5:
             return generate([self.frobenius_perm], degree=5)
-        return generate([_induced_s5(self.config)], degree=5)
+        return _four_point_image(frobenius_permutation(self.config))
 
     def to_json(self) -> dict:
         data = {
@@ -267,33 +268,15 @@ class SurfaceModel:
         return data
 
 
-def _induced_s5(config: PointConfig) -> Perm:
-    """The S5 element acting on the ten (-1)-classes of a 4-point blow-up.
+def _four_point_image(tau: Perm) -> Subgroup:
+    """The Galois image in S5 of a 4-point blow-up whose points Frobenius permutes by tau.
 
-    Exceptional classes over the four points carry labels {i,5}; the line
-    through points i and j carries label {1,2,3,4} minus {i,j}.  The unique
-    permutation of {1..5} inducing the observed action on those ten labels
-    is returned.
+    In the Kneser labels the exceptional class over point i is {i,5} and the
+    line through points i and j is {1,2,3,4} minus {i,j}.  Frobenius sends
+    E_i to E_tau(i) and that line to the line through points tau(i) and
+    tau(j), so it acts on the ten labels as tau extended by 5 -> 5.
     """
-    tau = frobenius_permutation(config)
-    line_label = {}
-    for i, j in itertools.combinations(range(1, 5), 2):
-        coeffs = _normalized(_cross(config.points[i - 1], config.points[j - 1]))
-        line_label[coeffs] = frozenset({1, 2, 3, 4} - {i, j})
-    graph = curve_graph(5)
-    images: dict[frozenset[int], frozenset[int]] = {}
-    for i in range(1, 5):
-        images[frozenset({i, 5})] = frozenset({tau(i), 5})
-    for coeffs, label in line_label.items():
-        moved = _normalized(tuple(frobenius(c) for c in coeffs))
-        images[label] = line_label[moved]
-    vperm = VertexPerm(
-        graph, Perm(tuple(graph.index(images[v]) - 1 for v in graph.vertices))
-    )
-    for sigma in symmetric_group_elements(5):
-        if graph_action(sigma) == vperm:
-            return sigma
-    raise AssertionError("internal error: ten-class action is not induced by S5")
+    return generate([Perm(tau.images + (4,))], degree=5)
 
 
 def dp5_from_four_points(config: PointConfig) -> SurfaceModel:
@@ -303,8 +286,7 @@ def dp5_from_four_points(config: PointConfig) -> SurfaceModel:
     if not general_position(config.points):
         raise ValueError("points not in general position: no three of them may be collinear")
     tau = frobenius_permutation(config)
-    sigma = _induced_s5(config)
-    label = class_label(generate([sigma], degree=5), 5)
+    label = class_label(_four_point_image(tau), 5)
     return SurfaceModel(
         degree=5,
         spec=config.spec,
@@ -425,8 +407,6 @@ def realize_dp6(base: FieldSpec, label6: ClassLabel | str) -> SurfaceModel:
     if not rep6.is_cyclic:
         raise ValueError("not realizable: H must be cyclic over a finite field")
     requested = class_label(rep6, 6)
-    from .perms import hex_decompose, hex_embed_s5
-
     gens5 = [hex_embed_s5(*hex_decompose(h)) for h in rep6.generators]
     label5 = class_label(generate(gens5, degree=5), 5)
     model5 = realize_dp5(base, label5)
@@ -477,7 +457,7 @@ def verify_json(data: dict) -> list[tuple[str, bool, str]]:
     try:
         model = model_from_json(data)
         checks.append(("model parses", True, ""))
-    except (ValueError, KeyError, TypeError) as err:
+    except (ValueError, KeyError, TypeError, OverflowError) as err:
         checks.append(("model parses", False, str(err)))
         return checks
 

@@ -23,8 +23,10 @@ from .perms import (
     ClassLabel,
     Perm,
     Subgroup,
+    _reduced_generators,
     class_label,
     generate,
+    hexagon_restriction,
     symmetric_group_elements,
 )
 
@@ -180,18 +182,7 @@ def vertex_stabilizer(vertex: frozenset[int]) -> Subgroup:
     if v not in curve_graph(5).vertices:
         raise ValueError(f"not a vertex label: {set(vertex)}")
     elems = [s for s in symmetric_group_elements(5) if s.apply_set(v) == v]
-    from .perms import _reduced_generators
-
     return Subgroup(5, _reduced_generators(elems, 5), elems)
-
-
-def hexagon_restriction(sigma: Perm) -> Perm:
-    """Restrict a {4,5}-stabilizing S5 element to the hexagon vertices."""
-    if sigma.apply_set({4, 5}) != frozenset({4, 5}):
-        raise ValueError("not in stabilizer")
-    hexa = curve_graph(6)
-    images = [hexa.index(sigma.apply_set(v)) - 1 for v in hexa.vertices]
-    return Perm(images)
 
 
 def blowdown_action(

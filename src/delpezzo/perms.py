@@ -31,6 +31,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from math import lcm
 from typing import Iterable, Iterator, Sequence
 
 
@@ -52,10 +53,6 @@ class Perm:
     @classmethod
     def identity(cls, degree: int) -> "Perm":
         return cls(range(degree))
-
-    @classmethod
-    def from_cycles(cls, text: str, degree: int) -> "Perm":
-        return parse_perm(text, degree)
 
     def __call__(self, point: int) -> int:
         """Image of a 1-indexed point."""
@@ -80,14 +77,8 @@ class Perm:
         return Perm(inv)
 
     def order(self) -> int:
-        n = 1
-        g = self
-        ident = self.images == tuple(range(self.degree))
-        while not ident:
-            g = g * self
-            n += 1
-            ident = g.images == tuple(range(self.degree))
-        return n
+        """The lcm of the cycle lengths."""
+        return lcm(*(len(cyc) for cyc in self.cycles()))
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Nontrivial cycles, 1-indexed, each starting at its smallest point."""
@@ -307,8 +298,9 @@ def _reduced_generators(elements: Sequence[Perm], degree: int) -> tuple[Perm, ..
 # --- the hexagon symmetry group (degree-6 ambient) -------------------------
 #
 # Hexagon vertices carry the labels {i,4}, {i,5} (i = 1,2,3) inherited from
-# the degree-5 Kneser labeling, listed in cycle order.  The S3 factor of the
-# symmetry group permutes {1,2,3}; the Z/2Z factor swaps 4 <-> 5, which acts
+# the degree-5 Kneser labeling, listed in cycle order.  The symmetry group is
+# the stabilizer of the vertex {4,5} in S5, restricted to these six vertices:
+# its S3 factor permutes {1,2,3}; its Z/2Z factor swaps 4 <-> 5, which acts
 # on the hexagon as the central (antipodal) symmetry.
 
 HEX_VERTEX_LABELS: tuple[frozenset[int], ...] = (
@@ -320,46 +312,38 @@ HEX_VERTEX_LABELS: tuple[frozenset[int], ...] = (
     frozenset({3, 5}),
 )
 
-_HEX_INDEX = {label: i + 1 for i, label in enumerate(HEX_VERTEX_LABELS)}
 
-
-def hex_element(s: Perm, eps: int) -> Perm:
-    """The hexagon vertex permutation of the pair (s, eps), s in S3, eps in {0,1}."""
-    if s.degree != 3:
-        raise ValueError("the S3 factor must be a permutation of degree 3")
-    if eps not in (0, 1):
-        raise ValueError("eps must be 0 or 1")
-    images = []
-    for label in HEX_VERTEX_LABELS:
-        i = min(label)
-        x = max(label)
-        if eps:
-            x = 9 - x  # swap 4 <-> 5
-        images.append(_HEX_INDEX[frozenset({s(i), x})] - 1)
-    return Perm(images)
-
-
-def hex_decompose(g: Perm) -> tuple[Perm, int]:
-    """Inverse of hex_element; raises for non-symmetries of the hexagon."""
-    if g.degree != 6:
-        raise ValueError("expected a vertex permutation of degree 6")
-    s_images = []
-    for i in (1, 2, 3):
-        target = HEX_VERTEX_LABELS[g(_HEX_INDEX[frozenset({i, 4})]) - 1]
-        s_images.append(min(target) - 1)
-    s = Perm(s_images)
-    for eps in (0, 1):
-        if hex_element(s, eps) == g:
-            return s, eps
-    raise ValueError("not a symmetry of the hexagon")
+def hexagon_restriction(sigma: Perm) -> Perm:
+    """Restrict a {4,5}-stabilizing S5 element to the hexagon vertices."""
+    if sigma.apply_set({4, 5}) != frozenset({4, 5}):
+        raise ValueError("not in stabilizer")
+    return Perm(HEX_VERTEX_LABELS.index(sigma.apply_set(v)) for v in HEX_VERTEX_LABELS)
 
 
 def hex_embed_s5(s: Perm, eps: int) -> Perm:
     """The pair (s, eps) as an element of S5: s on {1,2,3} times (4 5)^eps."""
     if s.degree != 3:
         raise ValueError("the S3 factor must be a permutation of degree 3")
+    if eps not in (0, 1):
+        raise ValueError("eps must be 0 or 1")
     images = list(s.images) + ([4, 3] if eps else [3, 4])
     return Perm(images)
+
+
+def hex_element(s: Perm, eps: int) -> Perm:
+    """The hexagon vertex permutation of the pair (s, eps), s in S3, eps in {0,1}."""
+    return hexagon_restriction(hex_embed_s5(s, eps))
+
+
+def hex_decompose(g: Perm) -> tuple[Perm, int]:
+    """Inverse of hex_element; raises for non-symmetries of the hexagon."""
+    if g.degree != 6:
+        raise ValueError("expected a vertex permutation of degree 6")
+    for s in symmetric_group_elements(3):
+        for eps in (0, 1):
+            if hex_element(s, eps) == g:
+                return s, eps
+    raise ValueError("not a symmetry of the hexagon")
 
 
 @lru_cache(maxsize=None)

@@ -29,7 +29,6 @@ from .curvegraphs import (
     curve_graph,
     graph_action,
     has_invariant_independent_set,
-    hexagon_restriction,
     invariant_vertices,
     vertex_stabilizer,
 )
@@ -45,6 +44,7 @@ from .perms import (
     cyclic_generator,
     generate,
     hexagon_group_elements,
+    hexagon_restriction,
     symmetric_group_elements,
 )
 from .picard import (

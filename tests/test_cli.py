@@ -212,6 +212,34 @@ class TestRealizeAndVerify:
         assert code == 2
 
 
+# Far deeper than the interpreter's default recursion limit of 1000.
+_DEEP_JSON = "[" * 5000 + "]" * 5000
+
+
+class TestVerifyMalformedInput:
+    def test_deep_json_file_is_an_error_line(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text(_DEEP_JSON)
+        code, out = run("verify", "--input", str(path))
+        assert code == 1
+        assert json.loads(out) == {"error": "model JSON is nested too deeply"}
+
+    def test_deep_json_on_stdin_is_an_error_line(self, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(_DEEP_JSON))
+        code, out = run("verify", "--input", "-")
+        assert code == 1
+        assert json.loads(out) == {"error": "model JSON is nested too deeply"}
+
+    def test_infinite_degree_is_a_fail_line(self, tmp_path):
+        # Python's json module accepts the non-standard literal Infinity
+        path = tmp_path / "model.json"
+        run("realize", "--field", "3", "--type", "[Z/3Z]", "--output", str(path))
+        path.write_text(path.read_text().replace('"degree": 5', '"degree": Infinity'))
+        code, out = run("verify", "--input", str(path))
+        assert code == 1
+        assert out.startswith("FAIL model parses")
+
+
 def run_bounded(*argv):
     """The CLI in a child process that must finish within 60 s."""
     env = dict(os.environ, PYTHONPATH=str(SRC))

@@ -8,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import delpezzo
 from delpezzo.construct import (
@@ -31,6 +33,7 @@ from delpezzo.construct import (
     _normalized,
     _points_with_action_stats,
 )
+from delpezzo.curvegraphs import curve_graph, graph_action
 from delpezzo.fields import (
     FFElem,
     element_degree,
@@ -44,6 +47,7 @@ from delpezzo.fields import (
 )
 from delpezzo.perms import (
     ClassLabel,
+    Perm,
     class_label,
     class_names,
     class_representative,
@@ -52,6 +56,7 @@ from delpezzo.perms import (
     all_subgroups,
     generate,
     parse_perm,
+    symmetric_group_elements,
 )
 
 F2 = make_field(2, 1, 1)
@@ -457,6 +462,12 @@ class TestJsonRoundTrip:
         [(name, ok, detail)] = verify_json(data)
         assert name == "model parses" and not ok and "at most 6" in detail
 
+    def test_infinite_degree_fails_parse(self):
+        data = realize_dp5(F7, "[Z/4Z]").to_json()
+        data["degree"] = float("inf")
+        [(name, ok, detail)] = verify_json(data)
+        assert name == "model parses" and not ok and "infinity" in detail
+
     def test_non_boolean_conic_marker_fails_parse(self):
         data = realize_dp5(F7, "[Z/4Z]").to_json()
         data["on_conic"] = "no"
@@ -481,3 +492,151 @@ class TestJsonRoundTrip:
     def test_unparseable_model(self):
         checks = verify_json({"degree": 5})
         assert checks == [("model parses", False, checks[0][2])]
+
+
+# --- an oracle for the Galois image of four-point models ---------------------
+#
+# Frobenius acts on the ten (-1)-classes of a four-point blow-up directly: the
+# exceptional class E_i goes to the class over the Frobenius image of P_i, and
+# the line through P_i and P_j goes to the line through the images of P_i and
+# P_j.  The Kneser labels are {i,5} for E_i and {1,2,3,4} minus {i,j} for that
+# line.  SurfaceModel.galois_image must induce exactly this vertex action.
+
+def _ten_class_action(config):
+    pts = config.points
+    where = {p: i for i, p in enumerate(pts, start=1)}
+    moved = [p.apply_frobenius() for p in pts]
+    image = {frozenset({i, 5}): frozenset({where[q], 5})
+             for i, q in enumerate(moved, start=1)}
+    line_label = {
+        _normalized(_cross(pts[i - 1], pts[j - 1])): frozenset({1, 2, 3, 4} - {i, j})
+        for i, j in itertools.combinations(range(1, 5), 2)
+    }
+    for i, j in itertools.combinations(range(1, 5), 2):
+        line = _normalized(_cross(moved[i - 1], moved[j - 1]))
+        image[frozenset({1, 2, 3, 4} - {i, j})] = line_label[line]
+    graph = curve_graph(5)
+    return Perm(tuple(graph.index(image[v]) - 1 for v in graph.vertices))
+
+
+def _random_point_of_degree(work, d, rng):
+    """A random plane point whose Frobenius orbit has exactly d points (d = 1 or n)."""
+    scalars = subfield_elements(work)
+    while True:
+        if d == 1:
+            coords = tuple(rng.choice(scalars) for _ in range(3))
+        else:
+            coords = tuple(FFElem(work, tuple(rng.randrange(work.p) for _ in range(work.m)))
+                           for _ in range(3))
+        if not any(coords):
+            continue
+        point = PlanePoint(work, coords)
+        orbit = [point]
+        while (nxt := orbit[-1].apply_frobenius()) != point:
+            orbit.append(nxt)
+        if len(orbit) == d:
+            return orbit
+
+
+def _random_four_point_config(p, e, orbit_sizes, rng):
+    """A Frobenius-stable configuration in general position, in shuffled order."""
+    work = make_field(p, e, max(orbit_sizes))
+    while True:
+        pts = [q for d in orbit_sizes for q in _random_point_of_degree(work, d, rng)]
+        rng.shuffle(pts)
+        if len(set(pts)) == 4 and general_position(pts):
+            return PointConfig(work, tuple(pts))
+
+
+class TestFourPointGaloisImage:
+    def test_every_small_field_fourpoint_model(self):
+        seen = 0
+        for qtext in ["2", "3", "2^2", "5"]:
+            base = parse_field_literal(qtext)
+            models = [realize_dp5(base, name) for name in CYCLIC5]
+            models += [realize_dp6(base, name) for name in CYCLIC6]
+            for model in models:
+                if not model.construction.startswith("fourpoints"):
+                    continue
+                seen += 1
+                generator = model.galois_image().generators[0]
+                assert graph_action(generator).perm == _ten_class_action(model.config)
+        assert seen == 8 + 10  # degree-5 models and blow-downs
+
+    @pytest.mark.parametrize("p,e,orbit_sizes", [
+        (p, e, sizes)
+        for p, e in [(2, 1), (3, 1), (2, 2), (3, 2)]
+        for sizes in [(1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1), (4,)]
+        if e * max(sizes) <= 4
+    ])
+    def test_random_stable_configurations(self, p, e, orbit_sizes):
+        rng = random.Random(f"{p}^{e}:{orbit_sizes}")
+        for _ in range(6):
+            config = _random_four_point_config(p, e, orbit_sizes, rng)
+            model = dp5_from_four_points(config)
+            generator = model.galois_image().generators[0]
+            assert graph_action(generator).perm == _ten_class_action(config)
+            assert sorted(map(len, generator.cycles())) == sorted(
+                d for d in orbit_sizes if d > 1)
+
+
+# --- properties of verify_json (derandomized) ---------------------------------
+
+_MODEL_CASES = [(q, 5, name) for q in ("2", "3", "2^2", "7") for name in CYCLIC5] + \
+    [(q, 6, name) for q in ("2", "3", "2^2") for name in CYCLIC6]
+
+
+def _model_json(case):
+    qtext, degree, name = case
+    realize = realize_dp5 if degree == 5 else realize_dp6
+    return realize(parse_field_literal(qtext), name).to_json()
+
+
+# Any value the json module can load, including NaN and Infinity.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=10,
+)
+_SETTINGS = settings(max_examples=120, deadline=None, derandomize=True, database=None)
+
+
+def _assert_check_list(checks):
+    assert isinstance(checks, list) and checks
+    for name, ok, detail in checks:
+        assert isinstance(name, str) and isinstance(ok, bool) and isinstance(detail, str)
+
+
+class TestVerifyProperties:
+    @_SETTINGS
+    @given(value=_JSON)
+    def test_any_json_value_gives_a_check_list(self, value):
+        _assert_check_list(verify_json(value))
+
+    @_SETTINGS
+    @given(case=st.sampled_from(_MODEL_CASES), data=st.data())
+    def test_any_one_key_replaced_gives_a_check_list(self, case, data):
+        model = _model_json(case)
+        key = data.draw(st.sampled_from(sorted(model) + ["blowdown_vertex"]))
+        model[key] = data.draw(_JSON)
+        _assert_check_list(verify_json(model))
+
+    @_SETTINGS
+    @given(case=st.sampled_from(_MODEL_CASES), data=st.data())
+    def test_another_frobenius_fails(self, case, data):
+        model = _model_json(case)
+        n = len(model["points"])
+        other = data.draw(st.sampled_from(symmetric_group_elements(n)).filter(
+            lambda g: g.cycle_string() != model["frobenius"]))
+        model["frobenius"] = other.cycle_string()
+        assert not all(ok for _, ok, _ in verify_json(model))
+
+    @_SETTINGS
+    @given(case=st.sampled_from(_MODEL_CASES), data=st.data())
+    def test_another_type_fails(self, case, data):
+        model = _model_json(case)
+        other = data.draw(st.sampled_from(class_names(model["degree"])).filter(
+            lambda name: name != model["type"]))
+        model["type"] = other
+        assert not all(ok for _, ok, _ in verify_json(model))

@@ -45,6 +45,15 @@ class TestPermBasics:
         assert g.order() == 6
         assert P.parse_perm("(1 2 3 4 5)", 5).order() == 5
 
+    def test_order_is_least_power_giving_identity(self):
+        for degree in (1, 4, 6):
+            ident = Perm.identity(degree)
+            for g in P.symmetric_group_elements(degree):
+                h, n = g, 1
+                while h != ident:
+                    h, n = h * g, n + 1
+                assert g.order() == n, g
+
     def test_order_divides_group_order(self):
         # sigma^(degree!) == identity for every sigma
         rng = random.Random(7)
@@ -279,6 +288,21 @@ class TestHexagonGroup:
     def test_embed_s5(self):
         g = P.hex_embed_s5(P.parse_perm("(1 2)", 3), 1)
         assert g.cycle_string() == "(1 2)(4 5)"
+
+    @pytest.mark.parametrize("eps", [2, -1])
+    def test_embed_s5_rejects_bad_eps(self, eps):
+        s = P.parse_perm("(1 2)", 3)
+        with pytest.raises(ValueError, match="eps must be 0 or 1"):
+            P.hex_embed_s5(s, eps)
+        with pytest.raises(ValueError, match="eps must be 0 or 1"):
+            P.hex_element(s, eps)
+
+    def test_decompose_rejects_every_non_symmetry(self):
+        hexagon = set(P.hexagon_group_elements())
+        for g in P.symmetric_group_elements(6):
+            if g not in hexagon:
+                with pytest.raises(ValueError, match="not a symmetry of the hexagon"):
+                    P.hex_decompose(g)
 
     def test_cyclic_degree6_classes(self):
         cyc = [lbl.name for lbl, rep in P.subgroup_classes(6) if rep.is_cyclic]
