@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import lcm
+from math import isinf, lcm
 
 from .curvegraphs import blowdown_action, invariant_vertices
 from .fields import (
     FieldSpec,
     FFElem,
     elements_of_degree,
+    from_coeffs,
     frobenius,
     make_field,
     one,
@@ -428,26 +429,62 @@ def realize_dp6(base: FieldSpec, label6: ClassLabel | str) -> SurfaceModel:
 
 # --- JSON round trip and verification -----------------------------------------
 
+_MODEL_KEYS = ("degree", "field", "construction", "points", "on_conic", "frobenius", "type")
+
+
+def _json_point(spec: FieldSpec, coords) -> PlanePoint:
+    """A point exactly as ``PlanePoint.to_json`` writes it: first nonzero coordinate 1."""
+    if not isinstance(coords, list) or len(coords) != 3:
+        raise ValueError("each point must be a list of three coordinates")
+    elems = tuple(from_coeffs(spec, c) for c in coords)
+    lead = next((c for c in elems if c), None)
+    if lead is not None and lead != one(spec):
+        raise ValueError(f"point {coords!r} is not normalized: its first nonzero coordinate must be 1")
+    return PlanePoint(spec, elems)
+
+
 def model_from_json(data: dict) -> SurfaceModel:
-    spec = parse_field_literal(data["field"])
-    points = tuple(
-        PlanePoint(spec, tuple(FFElem(spec, tuple(c)) for c in coords))
-        for coords in data["points"]
-    )
-    on_conic = data.get("on_conic", False)
-    if not isinstance(on_conic, bool):
-        raise ValueError(f"on_conic must be a JSON boolean, not {on_conic!r}")
-    config = PointConfig(spec, points, on_conic=on_conic)
-    degree = int(data["degree"])
+    """Read back exactly what ``SurfaceModel.to_json`` writes; anything else raises ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError("a model must be a JSON object")
+    for key in data:
+        if key not in _MODEL_KEYS and key != "blowdown_vertex":
+            raise ValueError(f"unknown key {key!r}")
+    for key in _MODEL_KEYS:
+        if key not in data:
+            raise ValueError(f"missing key {key!r}")
+    degree, field, frob = data["degree"], data["field"], data["frobenius"]
+    if type(degree) is not int:
+        shown = "infinity" if isinstance(degree, float) and isinf(degree) else repr(degree)
+        raise ValueError(f"degree must be a JSON integer, not {shown}")
+    for key in ("field", "frobenius", "type", "construction"):
+        if not isinstance(data[key], str):
+            raise ValueError(f"{key} must be a JSON string")
+    if not isinstance(data["on_conic"], bool):
+        raise ValueError(f"on_conic must be a JSON boolean, not {data['on_conic']!r}")
+    spec = parse_field_literal(field)
+    if field != spec.literal():
+        raise ValueError(f"field must be written {spec.literal()!r}, not {field!r}")
+    if not isinstance(data["points"], list):
+        raise ValueError("points must be a list")
+    points = tuple(_json_point(spec, coords) for coords in data["points"])
+    perm = parse_perm(frob, degree=len(points))
+    if frob != perm.cycle_string():
+        raise ValueError(f"frobenius must be written {perm.cycle_string()!r}, not {frob!r}")
     vertex = data.get("blowdown_vertex")
+    if "blowdown_vertex" in data:
+        if not (isinstance(vertex, list) and all(type(v) is int for v in vertex)
+                and vertex == sorted(set(vertex))):
+            raise ValueError(f"blowdown_vertex must be a list of increasing integers, not {vertex!r}")
+        vertex = frozenset(vertex)
     return SurfaceModel(
         degree=degree,
         spec=spec,
-        config=config,
-        frobenius_perm=parse_perm(data["frobenius"], degree=len(points)),
+        config=PointConfig(spec, points, on_conic=data["on_conic"]),
+        frobenius_perm=perm,
         type_label=ClassLabel(6 if degree == 6 else 5, data["type"]),
         construction=data["construction"],
-        blowdown_vertex=frozenset(vertex) if vertex is not None else None,
+        blowdown_vertex=vertex,
     )
 
 

@@ -4,7 +4,10 @@ A field F_{p^m} is represented as F_p[x]/(f) where f is the canonical
 modulus: the lexicographically smallest monic irreducible of degree m over
 F_p, "smallest" meaning the smallest integer index sum(c_i * p^i) over the
 non-leading coefficients.  (For example F_4 gets x^2+x+1, F_9 gets x^2+1,
-F_8 gets x^3+x+1.)  Elements are little-endian coefficient tuples.
+F_8 gets x^3+x+1.)  Elements, and polynomials over F_p, are packed ints: for
+p = 2 the coefficient bitmask, which is also the element's index; for odd p
+the coefficient of x^i sits in slot i of w bits (Kronecker substitution), so
+a product is one big-int multiply.  Packed ints order like indices.
 
 Every field carries a marked base degree e | m: a ``FieldSpec`` describes
 the extension F_{q^n} / F_q with q = p^e and n = m/e, and ``frobenius`` is the
@@ -13,123 +16,229 @@ arithmetic happens inside this one common field; base-field membership is
 "fixed by frobenius".
 
 No randomness and no floating point: irreducibility is tested with
-gcd(f, x^(p^k) - x) for k <= m/2, and Frobenius maps are applied through
-cached F_p-linear matrices, so repeated orbit scans stay cheap.
+gcd(f, x^(p^k) - x) for k <= m/2, and Frobenius maps are applied as sums of
+cached packed columns (x^(q^k))^j mod f, so repeated orbit scans stay cheap.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
 
-# --- polynomials over F_p as normalized little-endian int tuples -----------
+# --- polynomials over F_p as packed ints ------------------------------------
 
-def _pnorm(a: tuple[int, ...]) -> tuple[int, ...]:
-    n = len(a)
-    while n and a[n - 1] == 0:
-        n -= 1
-    return a[:n]
+class _Fp:
+    """F_p[x], p odd, on packed ints of w = 2*bits(p-1) + bits(m) + 3 bit slots.
+
+    A product of two reduced polynomials of degree below m, plus two folds of
+    x^m = g, stays below 2^(w-1) in every slot: sums stay exact until one
+    slot-wise reduction, and the top bit is room for subtracting p.
+    """
+
+    __slots__ = ("p", "m", "w", "slot", "span", "top", "pp", "chain", "cut")
+
+    def __init__(self, p: int, m: int):
+        self.p, self.m = p, m
+        self.w = w = 2 * (p - 1).bit_length() + m.bit_length() + 3
+        self.slot, self.span = (1 << w) - 1, w * (m + 1)
+        ones = ((1 << self.span) - 1) // self.slot  # 1 in each of m + 1 slots
+        self.top, self.pp = ones << (w - 1), ones * p
+        # subtracting p * 2^j from every slot that holds at least that, for
+        # j = J .. 0, takes slots below 2^(w-1) < p * 2^(J+1) below p
+        self.chain = [(ones * ((1 << (w - 1)) - (p << j)), p << j)
+                      for j in range(w - 1 - p.bit_length(), -1, -1)]
+        self.cut = w * len(self.chain)  # below this a loop over the slots is cheaper
+
+    def norm(self, t: int) -> int:
+        """Every slot reduced mod p; slots must lie below 2^(w-1)."""
+        if self.cut < t.bit_length() <= self.span:
+            for c, q in self.chain:
+                t -= (((t + c) & self.top) >> (self.w - 1)) * q
+            return t
+        out = shift = 0
+        while t:
+            out |= (t & self.slot) % self.p << shift
+            t >>= self.w
+            shift += self.w
+        return out
+
+    def add(self, a: int, b: int) -> int:
+        s = a + b
+        return s - (((s + self.chain[-1][0]) & self.top) >> (self.w - 1)) * self.p
+
+    def sub(self, a: int, b: int) -> int:
+        return self.add(a, self.pp - b)
+
+    def pack(self, coeffs) -> int:
+        return sum(c << (i * self.w) for i, c in enumerate(coeffs))
+
+    def unpack(self, a: int) -> list[int]:
+        return [a >> shift & self.slot for shift in range(0, a.bit_length(), self.w)]
+
+    def pmul(self, a: int, b: int) -> int:
+        return a * b  # slots not yet reduced
+
+    def mul(self, a: int, b: int, g: int) -> int:
+        """a * b mod x^m - g: fold the part of degree >= m back as a multiple of g."""
+        t, mw = a * b, self.m * self.w
+        folds = 0
+        while t >> mw:
+            folds += 1
+            low = t & ((1 << mw) - 1)
+            t = (low if folds % 3 else self.norm(low)) + self.norm(t >> mw) * g
+        return self.norm(t)
+
+    def combine(self, cols, a: int) -> int:
+        """sum_j a_j * cols[j]: the linear map with these packed columns, applied to a."""
+        return self.norm(sum(c * col for c, col in zip(self.unpack(a), cols) if c))
+
+    def divmod(self, a: int, b: int) -> tuple[int, int]:
+        shift_b = (b.bit_length() - 1) // self.w * self.w
+        inv = pow(b >> shift_b, -1, self.p)
+        rest = self.sub(0, b & ((1 << shift_b) - 1))
+        quo = 0
+        for shift in range((a.bit_length() - 1) // self.w * self.w, shift_b - 1, -self.w):
+            c = (a >> shift) * inv % self.p  # the top slot: the ones above are cleared
+            a &= (1 << shift) - 1
+            if c:
+                quo |= c << (shift - shift_b)
+                a += c * rest << (shift - shift_b)
+        return quo, self.norm(a)
+
+    def kernel(self, cols) -> list[int]:
+        """The kernel of the map with these packed columns, in echelon form (any p).
+
+        Each column is reduced against the earlier independent ones; one that
+        depends on them gives the kernel vector that is 1 there and 0 at every
+        other dependent column, as Gauss-Jordan over ascending columns does.
+        """
+        p, w, slot = self.p, self.w, self.slot
+        pivots, basis = [], []
+        for j, col in enumerate(cols):
+            v, combo = col, 1 << (j * w)
+            for shift, b, b_combo in pivots:
+                c = (v >> shift & slot) % p
+                if c and p == 2:
+                    v, combo = v ^ b, combo ^ b_combo
+                elif c:
+                    v, combo = v + (p - c) * b, combo + (p - c) * b_combo
+            v, combo = self.norm(v), self.norm(combo)
+            if not v:
+                basis.append(combo)
+                continue
+            shift = ((v & -v).bit_length() - 1) // w * w
+            inv = pow(v >> shift & slot, -1, p)
+            pivots.append((shift, self.norm(v * inv), self.norm(combo * inv)))
+        return basis
+
+    def powmod(self, a: int, e: int, g: int) -> int:
+        out = 1
+        while e:
+            if e & 1:
+                out = self.mul(out, a, g)
+            e >>= 1
+            if e:
+                a = self.mul(a, a, g)
+        return out
+
+    def inverse(self, a: int, f: int) -> int:
+        """Inverse of a modulo the irreducible f, via extended Euclid."""
+        if not a:
+            raise ZeroDivisionError("inverse of zero")
+        r0, r1, s0, s1 = f, a, 0, 1
+        while r1:
+            quo, rest = self.divmod(r0, r1)
+            r0, r1, s0, s1 = r1, rest, s1, self.sub(s0, self.norm(self.pmul(quo, s1)))
+        return self.norm(self.pmul(s0, pow(r0, -1, self.p)))
 
 
-def _padd(a, b, p):
-    n = max(len(a), len(b))
-    return _pnorm(tuple(((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p for i in range(n)))
+class _F2(_Fp):
+    """F_2[x] on coefficient bitmasks: addition is xor, products shift and xor."""
+
+    __slots__ = ()
+
+    def __init__(self, p: int, m: int):
+        self.p, self.m, self.w, self.slot = 2, m, 1, 1
+
+    def norm(self, t: int) -> int:
+        return t
+
+    def add(self, a: int, b: int) -> int:
+        return a ^ b
+
+    sub = add
+
+    def pmul(self, a: int, b: int) -> int:
+        out = 0
+        while b:
+            low = b & -b
+            out ^= a << (low.bit_length() - 1)
+            b ^= low
+        return out
+
+    def mul(self, a: int, b: int, g: int) -> int:
+        t, m = self.pmul(a, b), self.m
+        while t >> m:
+            t = (t & ((1 << m) - 1)) ^ self.pmul(t >> m, g)
+        return t
+
+    def combine(self, cols, a: int) -> int:
+        out = 0
+        for bit, col in zip(self.unpack(a), cols):
+            if bit:
+                out ^= col
+        return out
+
+    def divmod(self, a: int, b: int) -> tuple[int, int]:
+        quo, deg_b = 0, b.bit_length() - 1
+        while (shift := a.bit_length() - 1 - deg_b) >= 0:
+            quo |= 1 << shift
+            a ^= b << shift
+        return quo, a
 
 
-def _psub(a, b, p):
-    n = max(len(a), len(b))
-    return _pnorm(tuple(((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p for i in range(n)))
-
-
-def _pmul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _pnorm(tuple(c % p for c in out))
-
-
-def _pdivmod(a, b, p):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    inv_lead = pow(b[-1], -1, p)
-    rem = list(a)
-    deg_b = len(b) - 1
-    quo = [0] * max(len(a) - deg_b, 0)
-    for i in range(len(a) - len(b), -1, -1):
-        c = rem[i + deg_b] % p
-        if c:
-            c = (c * inv_lead) % p
-            quo[i] = c
-            for j, bj in enumerate(b):
-                rem[i + j] = (rem[i + j] - c * bj) % p
-    return _pnorm(tuple(quo)), _pnorm(tuple(rem))
-
-
-def _pmod(a, b, p):
-    return _pdivmod(a, b, p)[1]
-
-
-def _pgcd(a, b, p):
-    while b:
-        a, b = b, _pmod(a, b, p)
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = tuple((c * inv) % p for c in a)
-    return a
-
-
-def _ppowmod(a, e, mod, p):
-    result = (1,)
-    base = _pmod(a, mod, p)
-    while e:
-        if e & 1:
-            result = _pmod(_pmul(result, base, p), mod, p)
-        base = _pmod(_pmul(base, base, p), mod, p)
-        e >>= 1
-    return result
-
-
-def _pinv(a, mod, p):
-    """Inverse of a modulo mod via extended Euclid."""
-    if not a:
-        raise ZeroDivisionError("inverse of zero")
-    r0, r1 = mod, a
-    s0, s1 = (), (1,)
-    while r1:
-        q, r = _pdivmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _psub(s0, _pmul(q, s1, p), p)
-    inv_lead = pow(r0[-1], -1, p)
-    return _pnorm(tuple((c * inv_lead) % p for c in s0))
+@lru_cache(maxsize=None)
+def _ring(p: int, m: int) -> _Fp:
+    return _F2(p, m) if p == 2 else _Fp(p, m)
 
 
 @lru_cache(maxsize=256)
-def _is_irreducible(f: tuple[int, ...], p: int) -> bool:
-    """No root in any F_{p^k} for k <= deg(f)/2, via gcd with x^(p^k) - x.
-
-    Cached, so the FieldSpec that make_field builds from the modulus its
-    search has just accepted does not repeat the proof.
-    """
-    m = len(f) - 1
-    if m < 1:
-        return False
-    if m == 1:
-        return True
-    x = (0, 1)
-    t = x
+def _is_irreducible(p: int, m: int, f: int) -> bool:
+    """No root in any F_{p^k} for k <= m/2, via gcd with x^(p^k) - x.  Cached,
+    so the FieldSpec that make_field builds from the modulus it found does not
+    repeat the proof."""
+    ring = _ring(p, m)
+    g = ring.sub(0, f - (1 << m * ring.w))
+    x = t = 1 << ring.w
     for _ in range(m // 2):
-        t = _ppowmod(t, p, f, p)
-        g = _pgcd(f, _psub(t, x, p), p)
-        if len(g) > 1:
+        t = ring.powmod(t, p, g)
+        a, b = f, ring.sub(t, x)
+        while b:
+            a, b = b, ring.divmod(a, b)[1]
+        if a >> ring.w:  # a common factor of positive degree
             return False
     return True
+
+
+def _span(ring: _Fp, rows) -> Iterator[list[int]]:
+    """sum_i d_i * rows[i] for every d in F_p^len(rows), first digit fastest.
+
+    A row is a tuple of packed vectors, summed side by side; each step adds
+    one row, and one more for every digit that wraps around.
+    """
+    acc, digits = [0] * len(rows[0]), [0] * len(rows)
+    while True:
+        yield acc
+        for i, row in enumerate(rows):
+            acc = [ring.add(a, b) for a, b in zip(acc, row)]
+            digits[i] += 1
+            if digits[i] < ring.p:
+                break
+            digits[i] = 0
+        else:
+            return
 
 
 def _is_prime(n: int) -> bool:
@@ -147,7 +256,12 @@ def _is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """F_{p^m} = F_p[x]/(modulus), marked as an extension of F_{p^base_degree}."""
+    """F_{p^m} = F_p[x]/(modulus), marked as an extension of F_{p^base_degree}.
+
+    Its tables are attributes, so looking them up never hashes the spec: the
+    packing ``_r``, the packed modulus ``_f`` with x^m = ``_g``, and the
+    Frobenius columns and subfield kernels as they are built.
+    """
 
     p: int
     m: int
@@ -163,8 +277,13 @@ class FieldSpec:
             raise ValueError("modulus must be monic of the right degree")
         if any(not 0 <= c < self.p for c in self.modulus):
             raise ValueError("modulus coefficients out of range")
-        if not _is_irreducible(self.modulus, self.p):
+        ring = _ring(self.p, self.m)
+        f = ring.pack(self.modulus)
+        if not _is_irreducible(self.p, self.m, f):
             raise ValueError("modulus is reducible")
+        tables = dict(_r=ring, _f=f, _g=ring.sub(0, f - (1 << self.m * ring.w)), _frob={}, _kernels={})
+        for name, value in tables.items():
+            object.__setattr__(self, name, value)
 
     @property
     def q(self) -> int:
@@ -195,15 +314,11 @@ def make_field(p: int, base_degree: int, relative_degree: int) -> FieldSpec:
     if base_degree < 1 or relative_degree < 1:
         raise ValueError("degrees must be positive")
     m = base_degree * relative_degree
-    for t in range(p ** m):
-        digits = []
-        rest = t
-        for _ in range(m):
-            digits.append(rest % p)
-            rest //= p
-        f = tuple(digits) + (1,)
-        if _is_irreducible(f, p):
-            return FieldSpec(p, m, f, base_degree)
+    ring = _ring(p, m)
+    lead = 1 << (m * ring.w)
+    for tail, in _span(ring, [(1 << (i * ring.w),) for i in range(m)]):  # index order
+        if _is_irreducible(p, m, lead + tail):
+            return FieldSpec(p, m, tuple(ring.unpack(lead + tail)), base_degree)
     raise RuntimeError("unreachable: an irreducible of every degree exists")
 
 
@@ -245,79 +360,96 @@ def parse_field_literal(text: str) -> FieldSpec:
     return make_field(p, base, m // base)
 
 
-@dataclass(frozen=True)
 class FFElem:
-    """An element of a FieldSpec field: a little-endian coefficient tuple."""
+    """An element of a FieldSpec field, held as one packed int ``_v``.
 
-    spec: FieldSpec
-    coeffs: tuple[int, ...]
+    ``FFElem(spec, coeffs)`` reduces little-endian coefficients mod p and mod
+    the modulus; arithmetic builds its reduced results with ``_elem``.
+    Elements are immutable and hash as their int.
+    """
 
-    def __post_init__(self):
-        norm = _pnorm(tuple(c % self.spec.p for c in self.coeffs))
-        if len(norm) > self.spec.m:
-            norm = _pmod(norm, self.spec.modulus, self.spec.p)
-        object.__setattr__(self, "coeffs", norm)
+    __slots__ = ("spec", "_v")
 
-    def _check(self, other: "FFElem"):
-        if self.spec != other.spec:
+    def __init__(self, spec: FieldSpec, coeffs):
+        _set_spec(self, spec)  # a product with 1 is reduced mod f
+        _set_v(self, spec._r.mul(spec._r.pack([c % spec.p for c in coeffs]), 1, spec._g))
+
+    def __setattr__(self, *args):
+        raise AttributeError("FFElem is immutable")
+
+    __delattr__ = __setattr__
+
+    def _other(self, other: "FFElem") -> int:
+        if other.spec is not self.spec and other.spec != self.spec:
             raise ValueError("elements of different fields")
+        return other._v
 
     def __add__(self, other: "FFElem") -> "FFElem":
-        self._check(other)
-        return FFElem(self.spec, _padd(self.coeffs, other.coeffs, self.spec.p))
+        return _elem(self.spec, self.spec._r.add(self._v, self._other(other)))
 
     def __sub__(self, other: "FFElem") -> "FFElem":
-        self._check(other)
-        return FFElem(self.spec, _psub(self.coeffs, other.coeffs, self.spec.p))
+        return _elem(self.spec, self.spec._r.sub(self._v, self._other(other)))
 
     def __neg__(self) -> "FFElem":
-        return FFElem(self.spec, tuple(-c for c in self.coeffs))
+        return _elem(self.spec, self.spec._r.sub(0, self._v))
 
     def __mul__(self, other: "FFElem") -> "FFElem":
-        self._check(other)
-        return FFElem(
-            self.spec,
-            _pmod(_pmul(self.coeffs, other.coeffs, self.spec.p),
-                  self.spec.modulus, self.spec.p),
-        )
+        return _elem(self.spec, self.spec._r.mul(self._v, self._other(other), self.spec._g))
 
     def __truediv__(self, other: "FFElem") -> "FFElem":
-        self._check(other)
+        self._other(other)
         return self * other.inverse()
 
     def inverse(self) -> "FFElem":
-        return FFElem(
-            self.spec, _pinv(self.coeffs, self.spec.modulus, self.spec.p)
-        )
+        return _elem(self.spec, self.spec._r.inverse(self._v, self.spec._f))
 
     def __pow__(self, e: int) -> "FFElem":
         if e < 0:
             return self.inverse() ** (-e)
-        return FFElem(
-            self.spec, _ppowmod(self.coeffs, e, self.spec.modulus, self.spec.p)
-        )
+        return _elem(self.spec, self.spec._r.powmod(self._v, e, self.spec._g))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FFElem):
+            return NotImplemented
+        return self._v == other._v and (self.spec is other.spec or self.spec == other.spec)
+
+    def __hash__(self) -> int:
+        return hash(self._v)
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return self._v != 0
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        """Little-endian coefficients over F_p, without trailing zeros."""
+        return tuple(self.spec._r.unpack(self._v))
 
     @property
     def index(self) -> int:
         """Position in the canonical enumeration: sum(c_i * p^i)."""
         return sum(c * self.spec.p ** i for i, c in enumerate(self.coeffs))
 
-    def padded(self) -> tuple[int, ...]:
-        return self.coeffs + (0,) * (self.spec.m - len(self.coeffs))
-
     def __repr__(self) -> str:
         return f"FFElem({self.spec.literal()}, {list(self.coeffs)})"
 
 
+_set_spec, _set_v = FFElem.spec.__set__, FFElem._v.__set__
+
+
+def _elem(spec: FieldSpec, v: int) -> FFElem:
+    """The element with packed int v, which must already be reduced (unchecked)."""
+    x = object.__new__(FFElem)
+    _set_spec(x, spec)
+    _set_v(x, v)
+    return x
+
+
 def zero(spec: FieldSpec) -> FFElem:
-    return FFElem(spec, ())
+    return _elem(spec, 0)
 
 
 def one(spec: FieldSpec) -> FFElem:
-    return FFElem(spec, (1,))
+    return _elem(spec, 1)
 
 
 def gen(spec: FieldSpec) -> FFElem:
@@ -331,11 +463,29 @@ def from_int(spec: FieldSpec, value: int) -> FFElem:
 
 
 def from_index(spec: FieldSpec, t: int) -> FFElem:
+    """The element of index t, for 0 <= t < p^m."""
+    if not 0 <= t < spec.size:
+        raise ValueError(f"index {t} outside [0, {spec.p}^{spec.m})")
     digits = []
     while t:
         digits.append(t % spec.p)
         t //= spec.p
-    return FFElem(spec, tuple(digits))
+    return _elem(spec, spec._r.pack(digits))
+
+
+def from_coeffs(spec: FieldSpec, coeffs) -> FFElem:
+    """The element whose ``coeffs`` are exactly these: at most m ints (not
+    bools) in [0, p), the last one not 0.  It never reduces: ValueError instead."""
+    if not isinstance(coeffs, (list, tuple)):
+        raise ValueError(f"coefficients must be a list, not {type(coeffs).__name__}")
+    if len(coeffs) > spec.m:
+        raise ValueError(f"{len(coeffs)} coefficients, more than the degree {spec.m}")
+    for c in coeffs:
+        if type(c) is not int or not 0 <= c < spec.p:
+            raise ValueError(f"coefficient {c!r} is not an integer in [0, {spec.p})")
+    if coeffs and not coeffs[-1]:
+        raise ValueError("trailing zero coefficient")
+    return _elem(spec, spec._r.pack(coeffs))
 
 
 def field_elements(spec: FieldSpec) -> Iterator[FFElem]:
@@ -344,40 +494,29 @@ def field_elements(spec: FieldSpec) -> Iterator[FFElem]:
         yield from_index(spec, t)
 
 
-# --- Frobenius as a cached F_p-linear map -----------------------------------
+# --- Frobenius as packed columns ---------------------------------------------
 
-@lru_cache(maxsize=None)
-def _frob_matrix(spec: FieldSpec, power: int = 1) -> tuple[tuple[int, ...], ...]:
-    """Matrix of x -> x^(q^power) over F_p in the basis 1, x, .., x^(m-1)."""
-    p, m, f = spec.p, spec.m, spec.modulus
-    if power == 0:
-        return tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
-    if power > 1:
-        a = _frob_matrix(spec, power - 1)
-        b = _frob_matrix(spec, 1)
-        return tuple(
-            tuple(sum(a[i][k] * b[k][j] for k in range(m)) % p for j in range(m))
-            for i in range(m)
-        )
-    xq = _ppowmod((0, 1), spec.q, f, p)
-    cols = [(1,)]
-    for _ in range(m - 1):
-        cols.append(_pmod(_pmul(cols[-1], xq, p), f, p))
-    return tuple(
-        tuple(cols[j][i] if i < len(cols[j]) else 0 for j in range(m))
-        for i in range(m)
-    )
+def _frob_cols(spec: FieldSpec, power: int) -> list[int]:
+    """The packed columns (x^(q^power))^j mod f, j < m, for 1 <= power < n."""
+    cols = spec._frob.get(power)
+    if cols is None:
+        ring, g = spec._r, spec._g
+        image = (ring.powmod(1 << ring.w, spec.q, g) if power == 1 else
+                 ring.combine(_frob_cols(spec, 1), _frob_cols(spec, power - 1)[1]))
+        cols = spec._frob[power] = [1]
+        for _ in range(spec.m - 1):
+            cols.append(ring.mul(cols[-1], image, g))
+    return cols
 
 
-def _matvec(matrix, vec, p):
-    return tuple(sum(row[j] * vec[j] for j in range(len(vec))) % p for row in matrix)
+def _frob(spec: FieldSpec, v: int, power: int) -> int:
+    power %= spec.n
+    return spec._r.combine(_frob_cols(spec, power), v) if power else v
 
 
 def frobenius(x: FFElem, power: int = 1) -> FFElem:
     """The relative Frobenius x -> x^q (optionally iterated)."""
-    power %= x.spec.n
-    m = _frob_matrix(x.spec, power)
-    return FFElem(x.spec, _matvec(m, x.padded(), x.spec.p))
+    return _elem(x.spec, _frob(x.spec, x._v, power))
 
 
 def in_base_field(x: FFElem) -> bool:
@@ -397,85 +536,47 @@ def frobenius_orbit(x: FFElem) -> tuple[FFElem, ...]:
 def element_degree(x: FFElem) -> int:
     """Degree of x over the base field = its Frobenius orbit size."""
     n = x.spec.n
-    vec = x.padded()
-    for k in sorted(d for d in range(1, n + 1) if n % d == 0):
-        if _matvec(_frob_matrix(x.spec, k), vec, x.spec.p) == vec:
-            return k
-    raise AssertionError("orbit size must divide the relative degree")
+    return next(k for k in range(1, n + 1) if n % k == 0 and _frob(x.spec, x._v, k) == x._v)
 
 
-def _nullspace_mod(matrix, p):
-    """Basis of the kernel of an m x m matrix over F_p (Gauss-Jordan)."""
-    m = len(matrix)
-    rows = [list(r) for r in matrix]
-    pivots = {}
-    r = 0
-    for c in range(m):
-        piv = next((i for i in range(r, m) if rows[i][c] % p), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c] % p, -1, p)
-        rows[r] = [(v * inv) % p for v in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c] % p:
-                factor = rows[i][c] % p
-                rows[i] = [(a - factor * b) % p for a, b in zip(rows[i], rows[r])]
-        pivots[c] = r
-        r += 1
-    basis = []
-    free_cols = [c for c in range(m) if c not in pivots]
-    for fc in free_cols:
-        vec = [0] * m
-        vec[fc] = 1
-        for c, pr in pivots.items():
-            vec[c] = (-rows[pr][fc]) % p
-        basis.append(tuple(vec))
-    return basis
+def _subfield_basis(spec: FieldSpec, l: int) -> list[int]:
+    """Packed echelon kernel basis of frobenius^l - 1, lowest free column first.
 
-
-@lru_cache(maxsize=None)
-def _subfield_basis(spec: FieldSpec, l: int) -> tuple[tuple[int, ...], ...]:
-    """Kernel basis of frobenius^l - 1, last free column first."""
-    p, m = spec.p, spec.m
-    frob_l = _frob_matrix(spec, l % spec.n)
-    delta = tuple(
-        tuple((frob_l[i][j] - (1 if i == j else 0)) % p for j in range(m))
-        for i in range(m)
-    )
-    return tuple(_nullspace_mod(delta, p)[::-1])  # product() varies its last digit fastest
-
-
-def _subfield_vectors(spec: FieldSpec, l: int) -> Iterator[tuple[int, ...]]:
-    """The elements of F_{q^l} inside the field, as vectors in ascending index.
-
-    Counts over F_p in the kernel basis of frobenius^l - 1, first basis
-    vector as the least significant digit.  That is index order: Gauss-Jordan
-    runs over ascending columns, so the vector of free column c has its highest
-    nonzero coordinate at c and every other basis vector is 0 at c.  At l = n
-    the map is 0, the basis is the standard one and this is the index scan.
+    Counting in it, first vector as the least significant digit, lists F_{q^l}
+    in ascending index: the vector of free column c has its highest nonzero
+    coordinate at c and every other one is 0 at c.  At l = n it is the
+    standard basis and the count is the index scan.
     """
-    p, m = spec.p, spec.m
-    basis = _subfield_basis(spec, l)
-    for digits in itertools.product(range(p), repeat=len(basis)):
-        yield tuple(
-            sum(d * b[i] for d, b in zip(digits, basis)) % p for i in range(m)
-        )
+    if l not in spec._kernels:
+        ring = spec._r
+        basis = [1 << (j * ring.w) for j in range(spec.m)]
+        if l % spec.n:
+            cols = _frob_cols(spec, l % spec.n)
+            basis = ring.kernel([ring.sub(c, u) for c, u in zip(cols, basis)])
+        spec._kernels[l] = basis
+    return spec._kernels[l]
 
 
 def subfield_elements(spec: FieldSpec) -> tuple[FFElem, ...]:
     """The q base-field elements, in canonical index order (0 first)."""
-    return tuple(FFElem(spec, v) for v in _subfield_vectors(spec, 1))
+    rows = [(b,) for b in _subfield_basis(spec, 1)]
+    return tuple(_elem(spec, v) for v, in _span(spec._r, rows))
 
 
 def elements_of_degree(spec: FieldSpec, l: int) -> Iterator[FFElem]:
-    """Elements of exact degree l over the base, ascending canonical index."""
+    """Elements of exact degree l over the base, ascending canonical index.
+
+    Alongside each element v of F_{q^l} the count carries frobenius^k(v) - v
+    for every proper divisor k of l; v has degree l when none of them is 0.
+    """
     if l < 1 or spec.n % l:
         raise ValueError("l does not divide the relative degree")
-    mats = [_frob_matrix(spec, k) for k in range(1, l) if l % k == 0]
-    for vec in _subfield_vectors(spec, l):
-        if any(vec) and all(_matvec(mat, vec, spec.p) != vec for mat in mats):
-            yield FFElem(spec, vec)
+    ring = spec._r
+    rows = [(b,) + tuple(ring.sub(_frob(spec, b, k), b) for k in range(1, l) if l % k == 0)
+            for b in _subfield_basis(spec, l)]
+    for acc in _span(ring, rows):
+        if all(acc):
+            yield _elem(spec, acc[0])
 
 
 def element_of_degree(spec: FieldSpec, l: int) -> FFElem:

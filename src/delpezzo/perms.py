@@ -161,12 +161,13 @@ class ClassLabel:
 class Subgroup:
     """An explicit subgroup: generators plus the full, canonically sorted closure."""
 
-    __slots__ = ("degree", "generators", "elements")
+    __slots__ = ("degree", "generators", "elements", "_members")
 
     def __init__(self, degree: int, generators: Sequence[Perm], elements: Sequence[Perm]):
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "generators", tuple(generators))
         object.__setattr__(self, "elements", tuple(sorted(elements)))
+        object.__setattr__(self, "_members", frozenset(self.elements))
 
     def __setattr__(self, name, value):
         raise AttributeError("Subgroup is immutable")
@@ -179,10 +180,10 @@ class Subgroup:
         return iter(self.elements)
 
     def __contains__(self, g: Perm) -> bool:
-        return g in set(self.elements)
+        return g in self._members
 
     def __le__(self, other: "Subgroup") -> bool:
-        return set(self.elements) <= set(other.elements)
+        return self._members <= other._members
 
     @property
     def is_cyclic(self) -> bool:

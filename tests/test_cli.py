@@ -253,6 +253,8 @@ class TestLargeFields:
     # 60 s bound turns such a regression into a failure instead of a hang.
     @pytest.mark.parametrize("field, label", [
         ("2^40", "[e]"), ("2^8", "[Z/6Z]"), ("1009", "[Z/6Z]"), ("2^16", "[Z/6Z]"),
+        ("65521", "[Z/6Z]"), ("65521^2", "[Z/6Z]"), ("3^25", "[Z/6Z]"), ("2^40", "[Z/6Z]"),
+        ("2^40", "[Z/5Z]"),
     ])
     def test_realize_then_verify(self, tmp_path, field, label):
         path = tmp_path / "model.json"

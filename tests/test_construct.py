@@ -478,7 +478,7 @@ class TestJsonRoundTrip:
         model = small_field_realize(F3, "[<(1,2)>]")
         data = model.to_json()
         # move the second rational point onto the line joining the pair
-        data["points"][1] = [[0], [1], [0]]
+        data["points"][1] = [[], [1], []]  # zero is written []
         checks = verify_json(data)
         assert any(name == "general position" and not ok for name, ok, _ in checks)
 
@@ -492,6 +492,61 @@ class TestJsonRoundTrip:
     def test_unparseable_model(self):
         checks = verify_json({"degree": 5})
         assert checks == [("model parses", False, checks[0][2])]
+
+
+def _set(path, value):
+    def edit(data):
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    return edit
+
+
+def _delete(key):
+    return lambda data: data.pop(key)
+
+
+class TestStrictJson:
+    # An edit that realize could never have written fails to parse, with the reason.
+    @pytest.mark.parametrize("edit, reason", [
+        (_set(["degree"], 5.9), "degree must be a JSON integer"),
+        (_set(["degree"], "5"), "degree must be a JSON integer"),
+        (_set(["degree"], True), "degree must be a JSON integer"),
+        (_set(["points", 0, 1, 0], 7 + 1), "not an integer in [0, 7)"),
+        (_set(["points", 0, 1, 0], -6), "not an integer in [0, 7)"),
+        (_set(["points", 0, 1, 0], 1.0), "not an integer in [0, 7)"),
+        (_set(["points", 0, 0], [1, 0]), "trailing zero"),
+        (_set(["points", 0, 0], [1, 0, 0, 0, 0]), "more than the degree 4"),
+        (_set(["extra"], 1), "unknown key 'extra'"),
+        (_delete("on_conic"), "missing key 'on_conic'"),
+        (_set(["field"], "7^4:base=01"), "field must be written '7^4:base=1'"),
+        (_set(["frobenius"], "(1,2,3,4)"), "frobenius must be written"),
+        (_set(["type"], 4), "type must be a JSON string"),
+        (_set(["blowdown_vertex"], [1, 2]), "degree-6 models only"),
+        (_set(["points", 0], [[2], [], []]), "first nonzero coordinate must be 1"),
+        (_set(["points", 0], [[], [], []]), "no nonzero coordinate"),
+        (_set(["points", 0], [[1], []]), "three coordinates"),
+    ])
+    def test_non_canonical_model_fails_parse(self, edit, reason):
+        data = realize_dp5(F7, "[Z/4Z]").to_json()
+        assert data["field"] == "7^4:base=1" and data["points"][0][1] == [0, 1]
+        edit(data)
+        [(name, ok, detail)] = verify_json(data)
+        assert name == "model parses" and not ok and reason in detail
+
+    def test_doubled_point_fails_parse(self):
+        data = realize_dp5(F7, "[Z/4Z]").to_json()
+        data["points"][0] = [[2 * c % 7 for c in coord] for coord in data["points"][0]]
+        [(name, ok, detail)] = verify_json(data)
+        assert name == "model parses" and not ok and "not normalized" in detail
+
+    @pytest.mark.parametrize("vertex", [[2, 1], [1, 1, 2], [1, True], "12", None])
+    def test_blowdown_vertex_must_be_written_sorted(self, vertex):
+        data = realize_dp6(F2, "[Z/3]").to_json()
+        data["blowdown_vertex"] = vertex
+        [(name, ok, detail)] = verify_json(data)
+        assert name == "model parses" and not ok and "increasing integers" in detail
 
 
 # --- an oracle for the Galois image of four-point models ---------------------
@@ -640,3 +695,42 @@ class TestVerifyProperties:
             lambda name: name != model["type"]))
         model["type"] = other
         assert not all(ok for _, ok, _ in verify_json(model))
+
+
+_EDITS = st.sampled_from(["replace", "delete", "add", "coefficient", "coordinate", "swap"])
+
+
+def _mutate(model, data):
+    edit = data.draw(_EDITS)
+    if edit == "replace":
+        model[data.draw(st.sampled_from(sorted(model) + ["blowdown_vertex"]))] = data.draw(_JSON)
+    elif edit == "delete":
+        del model[data.draw(st.sampled_from(sorted(model)))]
+    elif edit == "add":
+        model[data.draw(st.text(max_size=8))] = data.draw(_JSON)
+    else:
+        points = model["points"]
+        i = data.draw(st.integers(0, len(points) - 1))
+        j = data.draw(st.integers(0, 2))
+        if edit == "swap":
+            k = data.draw(st.integers(0, len(points) - 1))
+            points[i], points[k] = points[k], points[i]
+        elif edit == "coordinate":
+            points[i][j] = data.draw(st.lists(st.integers(-3, 10), max_size=7))
+        else:
+            coeffs = points[i][j]
+            k = data.draw(st.integers(0, len(coeffs)))
+            value = data.draw(st.integers(-10, 10) | _JSON)
+            coeffs[k:k + 1] = [value]
+
+
+class TestStrictJsonProperty:
+    @_SETTINGS
+    @given(case=st.sampled_from(_MODEL_CASES), data=st.data())
+    def test_mutated_model_fails_parse_or_round_trips(self, case, data):
+        model = _model_json(case)
+        _mutate(model, data)
+        checks = verify_json(model)
+        _assert_check_list(checks)
+        if checks[0] == ("model parses", True, ""):
+            assert model_from_json(model).to_json() == model

@@ -4,6 +4,7 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from delpezzo.fields import (
     FieldSpec,
@@ -14,6 +15,7 @@ from delpezzo.fields import (
     field_elements,
     frobenius,
     frobenius_orbit,
+    from_coeffs,
     from_index,
     from_int,
     gen,
@@ -24,7 +26,17 @@ from delpezzo.fields import (
     parse_field_literal,
     subfield_elements,
     zero,
+)
+from reference_fields import (
     _is_irreducible,
+    _padd,
+    _pinv,
+    _pmod,
+    _pmul,
+    _ppowmod,
+    _psub,
+    canonical_modulus,
+    degree_over,
 )
 
 
@@ -131,6 +143,16 @@ class TestFieldAxioms:
                 if a != zero(spec):
                     assert a * a.inverse() == one(spec)
                     assert (a / a) == one(spec)
+
+    def test_elements_are_immutable(self):
+        x = gen(make_field(3, 1, 2))
+        with pytest.raises(AttributeError):
+            x.spec = make_field(3, 1, 1)
+        with pytest.raises(AttributeError):
+            x._v = 0
+        with pytest.raises(AttributeError):
+            del x.spec
+        assert x == gen(make_field(3, 1, 2)) and hash(x) == hash(gen(make_field(3, 1, 2)))
 
     def test_zero_inverse_fails(self):
         with pytest.raises(ZeroDivisionError):
@@ -285,3 +307,103 @@ class TestMinimalPolynomial:
             mu = minimal_polynomial(x)
             value = sum((c * x**i for i, c in enumerate(mu)), zero(spec))
             assert value == zero(spec)
+
+
+class TestIndexAndCoefficients:
+    def test_from_index_rejects_a_negative_index(self):
+        with pytest.raises(ValueError, match="outside"):
+            from_index(make_field(7, 1, 1), -1)
+
+    def test_from_index_rejects_an_index_past_the_field(self):
+        spec = make_field(7, 1, 1)
+        with pytest.raises(ValueError, match="outside"):
+            from_index(spec, 49)
+        with pytest.raises(ValueError, match="outside"):
+            from_index(spec, 7)
+        assert from_index(spec, 6).coeffs == (6,)
+
+    def test_from_coeffs_takes_exactly_what_coeffs_gives(self):
+        spec = make_field(3, 1, 4)
+        for x in field_elements(spec):
+            assert from_coeffs(spec, list(x.coeffs)) == x
+            assert from_coeffs(spec, x.coeffs) == x
+
+    @pytest.mark.parametrize("coeffs, message", [
+        ([1, 3], "not an integer in [0, 3)"),
+        ([-1], "not an integer in [0, 3)"),
+        ([1, 0], "trailing zero"),
+        ([0], "trailing zero"),
+        ([1, 1, 1, 1, 1], "more than the degree 4"),
+        ([True], "not an integer"),
+        ([1.0], "not an integer"),
+        (["1"], "not an integer"),
+        ("12", "must be a list"),
+        (5, "must be a list"),
+    ])
+    def test_from_coeffs_rejects_what_it_would_have_to_reduce(self, coeffs, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            from_coeffs(make_field(3, 1, 4), coeffs)
+
+
+# --- the packed arithmetic against the tuple reference (derandomized) --------
+
+# (p, base degree, relative degree) for p in {2, 3, 5, 7, 47, 65521}
+_ORACLE_FIELDS = [
+    (2, 1, 1), (2, 1, 6), (2, 3, 4), (2, 8, 3), (3, 1, 1), (3, 1, 5), (3, 2, 6),
+    (5, 1, 2), (5, 3, 4), (7, 1, 6), (7, 2, 3), (47, 1, 1), (47, 1, 4), (47, 2, 6),
+    (65521, 1, 1), (65521, 1, 2), (65521, 1, 6), (65521, 2, 6),
+]
+# the working fields at the literal ceiling: m = 240 and m = 150
+_LARGE_FIELDS = [(2, 40, 6), (3, 25, 6)]
+
+
+def _draw_element(spec, data):
+    """An element with every coefficient drawn: indices would stay small."""
+    coeffs = data.draw(st.lists(st.integers(0, spec.p - 1), min_size=spec.m, max_size=spec.m))
+    return FFElem(spec, coeffs)
+
+
+def _agrees_with_reference(spec, a, b, e):
+    p, mod = spec.p, spec.modulus
+    ra, rb = a.coeffs, b.coeffs
+    assert (a * b).coeffs == _pmod(_pmul(ra, rb, p), mod, p)
+    assert (a + b).coeffs == _padd(ra, rb, p) and (a - b).coeffs == _psub(ra, rb, p)
+    assert (-a).coeffs == _psub((), ra, p)
+    if a:
+        assert a.inverse().coeffs == _pinv(ra, mod, p)
+        base, exponent = (a.inverse(), -e) if e < 0 else (a, e)
+        assert (a ** e).coeffs == _ppowmod(base.coeffs, exponent, mod, p)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            a.inverse()
+        assert (a ** abs(e)).coeffs == _ppowmod(ra, abs(e), mod, p)
+    assert frobenius(a).coeffs == _ppowmod(ra, spec.q, mod, p)
+    assert element_degree(a) == degree_over(ra, spec.q, spec.n, mod, p)
+
+
+class TestAgainstTupleReference:
+    @pytest.mark.parametrize("field", _ORACLE_FIELDS)
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_packed_arithmetic_matches(self, field, data):
+        spec = make_field(*field)
+        assert spec.modulus == canonical_modulus(spec.p, spec.m)
+        a, b = _draw_element(spec, data), _draw_element(spec, data)
+        _agrees_with_reference(spec, a, b, data.draw(st.integers(-30, 3000)))
+
+    @settings(max_examples=4, deadline=None, derandomize=True, database=None)
+    @given(field=st.sampled_from(_LARGE_FIELDS), data=st.data())
+    def test_packed_arithmetic_matches_at_the_ceiling(self, field, data):
+        spec = make_field(*field)
+        a, b = _draw_element(spec, data), _draw_element(spec, data)
+        _agrees_with_reference(spec, a, b, data.draw(st.integers(-30, 3000)))
+
+    def test_ceiling_moduli(self):
+        # The tuple search of the reference takes seconds here, so the moduli
+        # it found are pinned; the reference proves them irreducible.
+        pinned = {(2, 40, 6): {0: 1, 3: 1, 5: 1, 8: 1, 240: 1},
+                  (3, 25, 6): {0: 2, 1: 1, 3: 1, 4: 1, 5: 1, 150: 1}}
+        for field, terms in pinned.items():
+            spec = make_field(*field)
+            assert {i: c for i, c in enumerate(spec.modulus) if c} == terms
+            assert _is_irreducible(spec.modulus, spec.p)
