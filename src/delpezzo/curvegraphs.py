@@ -23,6 +23,7 @@ from .perms import (
     ClassLabel,
     Perm,
     Subgroup,
+    _orbits,
     _reduced_generators,
     class_label,
     generate,
@@ -99,9 +100,6 @@ class VertexPerm:
     def image(self, vertex: frozenset[int]) -> frozenset[int]:
         return self.graph.vertices[self.perm(self.graph.index(vertex)) - 1]
 
-    def fixes(self, vertex: frozenset[int]) -> bool:
-        return self.image(vertex) == frozenset(vertex)
-
     def __mul__(self, other: "VertexPerm") -> "VertexPerm":
         if self.graph != other.graph:
             raise ValueError("vertex permutations of different graphs")
@@ -121,30 +119,12 @@ def graph_action(sigma: Perm) -> VertexPerm:
 def invariant_vertices(group: Subgroup) -> tuple[frozenset[int], ...]:
     """Vertices of the degree-5 graph fixed (setwise) by every element."""
     g = curve_graph(5)
-    actions = [graph_action(h) for h in group.elements]
-    return tuple(v for v in g.vertices if all(a.fixes(v) for a in actions))
+    return tuple(g.vertices[o[0] - 1] for o in _vertex_orbits(group) if len(o) == 1)
 
 
-def _vertex_orbits(group: Subgroup) -> list[frozenset[int]]:
-    """Orbits of the subgroup on vertex indices (as bitmasks over 0..9)."""
-    actions = [graph_action(h) for h in group.generators]
-    seen: set[int] = set()
-    out = []
-    for start in range(1, 11):
-        if start in seen:
-            continue
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            for a in actions:
-                w = a(v)
-                if w not in orbit:
-                    orbit.add(w)
-                    frontier.append(w)
-        seen |= orbit
-        out.append(frozenset(orbit))
-    return out
+def _vertex_orbits(group: Subgroup) -> tuple[tuple[int, ...], ...]:
+    """Orbits of the subgroup on the 1-indexed vertices of the degree-5 graph."""
+    return _orbits([graph_action(h) for h in group.generators], 10)
 
 
 def has_invariant_independent_set(
@@ -153,27 +133,21 @@ def has_invariant_independent_set(
     """Does some nonempty independent vertex set stay invariant under the group?
 
     Returns (True, witness) with a minimum-size witness (labels, canonically
-    ordered) or (False, None).  Invariant sets are unions of vertex orbits,
-    so only those unions are scanned.
+    ordered) or (False, None).  An invariant set is a union of vertex orbits,
+    and it is independent only if each of its orbits is, so the smallest
+    invariant independent sets are single orbits: the witness is the first
+    smallest independent orbit, and no union needs to be searched.
     """
     g = curve_graph(5)
     adj = g.adjacency
-    orbit_list = _vertex_orbits(group)
-    best: tuple[int, tuple[int, ...]] | None = None
-    for r in range(1, len(orbit_list) + 1):
-        for combo in itertools.combinations(orbit_list, r):
-            members = sorted(v for orbit in combo for v in orbit)
-            if best is not None and len(members) >= best[0]:
-                continue
-            if any(
-                adj[v - 1][w - 1]
-                for v, w in itertools.combinations(members, 2)
-            ):
-                continue
-            best = (len(members), tuple(members))
-    if best is None:
+    independent = [
+        orbit
+        for orbit in _vertex_orbits(group)
+        if not any(adj[v - 1][w - 1] for v, w in itertools.combinations(orbit, 2))
+    ]
+    if not independent:
         return False, None
-    return True, tuple(g.vertices[i - 1] for i in best[1])
+    return True, tuple(g.vertices[i - 1] for i in min(independent, key=len))
 
 
 def vertex_stabilizer(vertex: frozenset[int]) -> Subgroup:
@@ -198,7 +172,7 @@ def blowdown_action(
     v = frozenset(vertex)
     if v not in curve_graph(5).vertices:
         raise ValueError(f"not a vertex label: {set(vertex)}")
-    if not all(graph_action(h).fixes(v) for h in group.elements):
+    if v not in invariant_vertices(group):
         raise ValueError("not in stabilizer")
     mover = next(
         s for s in symmetric_group_elements(5) if s.apply_set({4, 5}) == v

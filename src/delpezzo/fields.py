@@ -559,8 +559,7 @@ def _subfield_basis(spec: FieldSpec, l: int) -> list[int]:
 
 def subfield_elements(spec: FieldSpec) -> tuple[FFElem, ...]:
     """The q base-field elements, in canonical index order (0 first)."""
-    rows = [(b,) for b in _subfield_basis(spec, 1)]
-    return tuple(_elem(spec, v) for v, in _span(spec._r, rows))
+    return (zero(spec), *elements_of_degree(spec, 1))
 
 
 def elements_of_degree(spec: FieldSpec, l: int) -> Iterator[FFElem]:

@@ -32,7 +32,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 class Perm:
@@ -230,7 +230,12 @@ def generate(gens: Iterable[Perm], degree: int | None = None) -> Subgroup:
 
 def orbits(group: Subgroup) -> tuple[tuple[int, ...], ...]:
     """Orbits on {1, .., degree}, each sorted, ordered by smallest member."""
-    remaining = set(range(1, group.degree + 1))
+    return _orbits(group.generators, group.degree)
+
+
+def _orbits(gens: Sequence[Callable[[int], int]], degree: int) -> tuple[tuple[int, ...], ...]:
+    """Orbits of 1-indexed maps on {1, .., degree}, as in orbits()."""
+    remaining = set(range(1, degree + 1))
     out = []
     while remaining:
         start = min(remaining)
@@ -238,7 +243,7 @@ def orbits(group: Subgroup) -> tuple[tuple[int, ...], ...]:
         frontier = [start]
         while frontier:
             p = frontier.pop()
-            for g in group.generators:
+            for g in gens:
                 q = g(p)
                 if q not in orbit:
                     orbit.add(q)

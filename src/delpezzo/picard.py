@@ -232,14 +232,11 @@ def integer_rank(rows: list[list[int]]) -> int:
 
 
 def invariant_rank(group: Subgroup) -> int:
-    """Rank of the common fixed sublattice of the induced actions."""
+    """Rank of the sublattice fixed by the induced actions of the generators."""
     if group.degree != 5:
         raise ValueError("expected a subgroup of S5")
     rows: list[list[int]] = []
-    ident = Perm.identity(5)
-    for g in group.elements:
-        if g == ident:
-            continue
+    for g in group.generators:
         m = induced_lattice_action(g).matrix
         for i in range(5):
             rows.append([m[i][j] - (1 if i == j else 0) for j in range(5)])
@@ -255,8 +252,8 @@ def is_g_minimal(group: Subgroup, galois_image: Subgroup) -> bool:
     the lattice has rank 1 — which happens exactly when the joint group
     contains an element of order 5.
     """
-    for g in group.elements:
-        for s in galois_image.elements:
+    for g in group.generators:
+        for s in galois_image.generators:
             if g * s != s * g:
                 raise ValueError("G must centralize the Galois image")
     delta = generate(

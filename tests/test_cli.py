@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import delpezzo
+from delpezzo import selfcheck
 from delpezzo.cli import main
 
 SRC = Path(delpezzo.__file__).resolve().parent.parent
@@ -239,6 +240,19 @@ class TestVerifyMalformedInput:
         assert code == 1
         assert out.startswith("FAIL model parses")
 
+    def test_two_point_model_is_a_general_position_fail(self, tmp_path):
+        path = tmp_path / "model.json"
+        run("realize", "--field", "7", "--type", "[e]", "--output", str(path))
+        data = json.loads(path.read_text())
+        data["points"] = data["points"][:2]
+        data["frobenius"] = "()"
+        path.write_text(json.dumps(data))
+        code, out = run("verify", "--input", str(path))
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[0] == "PASS model parses"
+        assert "FAIL general position (general position needs at least three points)" in lines
+
 
 def run_bounded(*argv):
     """The CLI in a child process that must finish within 60 s."""
@@ -329,6 +343,31 @@ class TestBlowdown:
         code, out = run("blowdown", "--subgroup", "()", "--vertex", "bogus")
         assert code == 1
         assert "cannot parse vertex" in json.loads(out)["error"]
+
+
+class TestCheckPaper:
+    def test_a_raising_check_is_a_fail_line(self, monkeypatch):
+        def raises():
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(selfcheck, "_CHECKS", (
+            ("passes", lambda: (True, "fine")), ("raises", raises)))
+        code, out = run("check-paper")
+        assert code == 1
+        lines = out.splitlines()
+        assert len(lines) == 3
+        assert lines[0].startswith("PASS passes (") and lines[0].endswith(" — fine")
+        assert lines[1].startswith("FAIL raises (")
+        assert lines[1].endswith(" — RuntimeError: boom")
+        assert lines[2] == "1/2 checks passed"
+
+    def test_every_check_passes_without_asserts(self):
+        # -O strips assert statements, so no check may rely on one
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run([sys.executable, "-O", "-m", "delpezzo", "check-paper"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stdout
+        assert proc.stdout.splitlines()[-1] == "10/10 checks passed"
 
 
 class TestTopLevel:

@@ -35,6 +35,7 @@ from delpezzo.construct import (
 )
 from delpezzo.curvegraphs import curve_graph, graph_action
 from delpezzo.fields import (
+    MAX_BASE_FIELD,
     FFElem,
     element_degree,
     elements_of_degree,
@@ -734,3 +735,22 @@ class TestStrictJsonProperty:
         _assert_check_list(checks)
         if checks[0] == ("model parses", True, ""):
             assert model_from_json(model).to_json() == model
+
+
+def _base_field_literal(p):
+    """A literal p^e for some e with p^e within the base-field ceiling."""
+    top = max(e for e in range(1, 41) if p ** e <= MAX_BASE_FIELD)
+    return st.integers(1, top).map(lambda e: f"{p}^{e}")
+
+
+class TestRealizeVerifyProperty:
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(literal=st.sampled_from([2, 3, 5, 7, 11, 101, 257, 65521]).flatmap(_base_field_literal),
+           case=st.sampled_from([(5, n) for n in CYCLIC5] + [(6, n) for n in CYCLIC6]))
+    def test_any_field_and_cyclic_type_realizes_and_verifies(self, literal, case):
+        degree, name = case
+        realize = realize_dp5 if degree == 5 else realize_dp6
+        data = realize(parse_field_literal(literal), name).to_json()
+        failed = [check for check in verify_json(data) if not check[1]]
+        assert failed == [], (literal, case)
+        assert model_from_json(data).to_json() == data

@@ -136,17 +136,7 @@ class TestIndependentSets:
         return best
 
     def test_matches_bruteforce_on_sample(self):
-        sample = [
-            "[e]",
-            "[<(1,2)>]",
-            "[Z/5Z]",
-            "[S4]",
-            "[A5]",
-            "[S3xZ/2Z]",
-            "[D5]",
-            "[GA(1,5)]",
-        ]
-        for name in sample:
+        for name in P.class_names(5):
             rep = P.class_representative(name, 5)
             found, witness = C.has_invariant_independent_set(rep)
             oracle = self.brute(rep)

@@ -1,6 +1,7 @@
 """Rules on the package source itself."""
 
 import ast
+import types
 from pathlib import Path
 
 import delpezzo
@@ -18,3 +19,15 @@ def test_no_bare_assert_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_all_names_every_public_binding_once():
+    # __init__.py writes each public name twice, in an import list and in
+    # __all__; this keeps the two lists from drifting apart
+    public = {
+        name
+        for name, value in vars(delpezzo).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert len(delpezzo.__all__) == len(set(delpezzo.__all__))
+    assert set(delpezzo.__all__) == public
