@@ -359,8 +359,6 @@ def small_field_realize(base: FieldSpec, label: ClassLabel | str) -> SurfaceMode
         triple = [conic_point(work, b), conic_point(work, frobenius(b)),
                   conic_point(work, frobenius(b, 2))]
         for candidate in _base_plane_points(work):
-            if candidate in triple:
-                continue
             if general_position(triple + [candidate]):
                 pts = tuple(triple + [candidate])
                 return dp5_from_four_points(PointConfig(work, pts))

@@ -7,11 +7,11 @@ K.K = 5.  Degree 6 uses (H, E1, E2, E3) and K.K = 6.  The ten (-1)-classes
 of degree 5 are the E_i and the line classes H - E_i - E_j; they carry the
 Kneser labels E_i -> {i,5}, H - E_i - E_j -> {1,2,3,4} minus {i,j}, which
 identifies their intersection graph with the Petersen graph.  The five
-conic classes H - E_i and 2H - E1 - E2 - E3 - E4 give the second fixed-part
-computation used to cross-check invariant ranks.
+conic classes H - E_i and 2H - E1 - E2 - E3 - E4 are a basis of
+Pic(X) tensor Q that S5 permutes naturally, so invariant ranks are orbit
+counts; the induced lattice action is the independent side of that check.
 
-Everything here is exact integer arithmetic; ranks are computed by
-fraction-free (Bareiss) elimination.
+Everything here is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .perms import Perm, Subgroup, contains_order5, generate
+from .perms import Perm, Subgroup, contains_order5, generate, orbits
 
 
 _RANK = {5: 5, 6: 4}
@@ -207,40 +207,15 @@ def induced_lattice_action(sigma: Perm) -> LatticeAction:
     return LatticeAction(5, matrix)
 
 
-def integer_rank(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination."""
-    m = [list(r) for r in rows if any(r)]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        for r in range(rank + 1, len(m)):
-            for c in range(col + 1, ncols):
-                m[r][c] = (m[rank][col] * m[r][c] - m[r][col] * m[rank][c]) // prev
-            m[r][col] = 0
-        prev = m[rank][col]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
-
-
 def invariant_rank(group: Subgroup) -> int:
-    """Rank of the sublattice fixed by the induced actions of the generators."""
+    """Rank of the part of Pic(X) fixed by a subgroup of S5: its orbit count.
+
+    The conic classes are a basis of Pic(X) tensor Q that S5 permutes as it
+    permutes 1..5, and a permutation module has one fixed dimension per orbit.
+    """
     if group.degree != 5:
         raise ValueError("expected a subgroup of S5")
-    rows: list[list[int]] = []
-    for g in group.generators:
-        m = induced_lattice_action(g).matrix
-        for i in range(5):
-            rows.append([m[i][j] - (1 if i == j else 0) for j in range(5)])
-    return 5 - integer_rank(rows)
+    return len(orbits(group))
 
 
 def is_g_minimal(group: Subgroup, galois_image: Subgroup) -> bool:

@@ -196,6 +196,11 @@ class TestRealizeAndVerify:
         assert code == 1
         assert "at least 1" in json.loads(out)["error"]
 
+    def test_base_degree_not_dividing_is_an_error_line(self):
+        code, out = run("realize", "--field", "2^5:base=2", "--type", "[e]")
+        assert code == 1
+        assert json.loads(out) == {"error": "base degree must divide the absolute degree"}
+
     def test_f101_order_six_model_is_pinned(self):
         # byte-for-byte reproducible output, pinned by its SHA-256
         code, out = run("realize", "--field", "101", "--type", "[Z/6Z]", "--json")

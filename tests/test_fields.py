@@ -107,6 +107,10 @@ class TestLiterals:
         with pytest.raises(ValueError, match="at least 1"):
             parse_field_literal(text)
 
+    def test_base_degree_must_divide(self):
+        with pytest.raises(ValueError, match="base degree must divide the absolute degree"):
+            parse_field_literal("2^5:base=2")
+
     @pytest.mark.parametrize("text, message", [
         ("65537", "below 2^16"),
         ("2^41", "at most 2^40"),

@@ -1,0 +1,65 @@
+"""Byte-identity of realize, verify and the CLI against the benchmark goldens.
+
+``perfbench/golden`` holds the outputs the benchmark compares every operation
+with.  These tests replay each entry in process and compare byte for byte;
+they only read the golden files.
+"""
+
+import io
+import json
+import re
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+from delpezzo import cli
+from delpezzo.construct import realize_dp5, realize_dp6, verify_json
+from delpezzo.fields import parse_field_literal
+
+GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
+CHECK_SECONDS = re.compile(r"\(\d+\.\d\ds\)")
+
+
+def load(name):
+    with open(GOLDEN / f"{name}.json", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def run(argv):
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = cli.main(list(argv))
+    return {"code": code, "stdout": out.getvalue()}
+
+
+def test_realize_sweep_matches_golden():
+    golden = load("realize_sweep")
+    assert len(golden) == 299
+    for key, want in golden.items():
+        field, degree, label = key.split("|")
+        realize = realize_dp5 if degree == "5" else realize_dp6
+        data = realize(parse_field_literal(field), label).to_json()
+        assert json.dumps(data, indent=2) == want["json"], key
+        assert [list(c) for c in verify_json(data)] == want["verify"], key
+
+
+def test_cli_matches_golden(tmp_path, monkeypatch):
+    golden = load("cli")
+    monkeypatch.chdir(tmp_path)
+    calls = verifies = 0
+    for key, want in golden.items():
+        if key.startswith("verify "):
+            continue
+        argv = json.loads(key)
+        calls += 1
+        if "--output" in argv:
+            # a fresh file each time: overwriting one file stalls on some filesystems
+            at = argv.index("--output") + 1
+            argv[at] = f"model{calls}.json"
+        got = run(argv)
+        if argv == ["check-paper"]:
+            got["stdout"] = CHECK_SECONDS.sub("(-s)", got["stdout"])
+        assert got == want, key
+        if "--output" in argv:
+            verifies += 1
+            assert run(["verify", "--input", argv[at]]) == golden["verify " + key], key
+    assert (calls, verifies) == (321, 182)

@@ -7,6 +7,8 @@ from delpezzo import perms as P
 from delpezzo import picard as L
 from delpezzo.picard import PicClass
 
+from reference_picard import integer_rank
+
 
 def orbit_count_on_conics(group):
     """Oracle: count orbits of the induced action on the 5 conic classes."""
@@ -62,6 +64,15 @@ class TestForm:
             "coords": [0, 0, 1, 0, 0],
         }
 
+    def test_string_forms(self):
+        h = L.h_class(5)
+        e = [L.e_class(5, i) for i in range(1, 5)]
+        assert str(h - e[0] - e[1]) == "H-E1-E2"
+        assert str(L.conic_classes()[4]) == "2H-E1-E2-E3-E4"
+        assert str(-e[0]) == "-E1"
+        assert str(h - h) == "0"
+        assert str(L.canonical_class(6)) == "-3H+E1+E2+E3"
+
 
 class TestMinusOneClasses:
     def test_count_and_defining_equations(self):
@@ -106,10 +117,20 @@ class TestConicClasses:
         # the induced action on conic classes is the natural S5 action:
         # Q_i -> Q_sigma(i) where Q_5 = 2H - sum(E)
         conics = L.conic_classes()
-        for sigma in P.symmetric_group_elements(5)[::7]:
+        for sigma in P.symmetric_group_elements(5):
             a = L.induced_lattice_action(sigma)
             for i, q in enumerate(conics, start=1):
                 assert a.apply(q) == conics[sigma(i) - 1]
+
+    def test_they_are_a_rational_basis(self):
+        # coordinate matrix over (H, E1, .., E4), by cofactor expansion
+        def det(m):
+            if not m:
+                return 1
+            return sum((-1) ** j * m[0][j] * det([r[:j] + r[j + 1:] for r in m[1:]])
+                       for j in range(len(m)))
+
+        assert det([list(c.coords) for c in L.conic_classes()]) == -2
 
 
 class TestInducedAction:
@@ -154,11 +175,11 @@ class TestInducedAction:
 
 class TestIntegerRank:
     def test_simple_ranks(self):
-        assert L.integer_rank([]) == 0
-        assert L.integer_rank([[0, 0], [0, 0]]) == 0
-        assert L.integer_rank([[1, 2], [2, 4]]) == 1
-        assert L.integer_rank([[1, 2], [3, 4]]) == 2
-        assert L.integer_rank([[2, 0, 0], [0, 3, 0]]) == 2
+        assert integer_rank([]) == 0
+        assert integer_rank([[0, 0], [0, 0]]) == 0
+        assert integer_rank([[1, 2], [2, 4]]) == 1
+        assert integer_rank([[1, 2], [3, 4]]) == 2
+        assert integer_rank([[2, 0, 0], [0, 3, 0]]) == 2
 
     def test_rank_of_random_products(self):
         import random
@@ -171,7 +192,7 @@ class TestIntegerRank:
             if not any(u) or not any(v):
                 continue
             m = [[a * b for b in v] for a in u]
-            assert L.integer_rank(m) == 1
+            assert integer_rank(m) == 1
 
 
 class TestInvariantRank:
@@ -187,6 +208,15 @@ class TestInvariantRank:
     def test_matches_conic_orbit_count_everywhere(self):
         for sub in P.all_subgroups(5):
             assert L.invariant_rank(sub) == orbit_count_on_conics(sub), sub
+
+    def test_matches_lattice_fixed_rank_everywhere(self):
+        # the fixed sublattice is the kernel of M_g - I over every element g
+        for sub in P.all_subgroups(5):
+            rows = []
+            for g in sub.elements:
+                m = L.induced_lattice_action(g).matrix
+                rows += [[m[i][j] - (i == j) for j in range(5)] for i in range(5)]
+            assert L.invariant_rank(sub) == 5 - integer_rank(rows), sub
 
     def test_rank_one_iff_order5(self):
         for sub in P.all_subgroups(5):
