@@ -210,11 +210,11 @@ def _cmd_minimal(args) -> int:
     return 0
 
 
-_VERTEX_RE = re.compile(r"^\{?\s*(\d)\s*,\s*(\d)\s*\}?$")
+_VERTEX_RE = re.compile(r"\{?\s*([0-9])\s*,\s*([0-9])\s*\}?")
 
 
 def _cmd_blowdown(args) -> int:
-    match = _VERTEX_RE.match(args.vertex)
+    match = _VERTEX_RE.fullmatch(args.vertex)
     if not match:
         raise ValueError(f"cannot parse vertex {args.vertex!r}; expected {{i,j}}")
     vertex = frozenset(int(g) for g in match.groups())

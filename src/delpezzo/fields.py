@@ -22,6 +22,7 @@ cached packed columns (x^(q^k))^j mod f, so repeated orbit scans stay cheap.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -327,26 +328,20 @@ def make_field(p: int, base_degree: int, relative_degree: int) -> FieldSpec:
 MAX_CHARACTERISTIC = 2 ** 16
 MAX_BASE_FIELD = 2 ** 40
 MAX_RELATIVE_DEGREE = 6
+_LITERAL_RE = re.compile(r"([0-9]+)(?:\^([0-9]+)(?::base=([0-9]+))?)?")
 
 
 def parse_field_literal(text: str) -> FieldSpec:
-    """Parse "p^m:base=e" (or "p^e" / "p" for a base field) below the ceilings."""
-    base = 1
-    if ":" in text:
-        head, _, tail = text.partition(":")
-        if not tail.startswith("base="):
-            raise ValueError(f"cannot parse field literal {text!r}")
-        base = int(tail[5:])
-    else:
-        head = text
-    if "^" in head:
-        p_text, _, m_text = head.partition("^")
-        p, m = int(p_text), int(m_text)
-    else:
-        p, m = int(head), 1
-    if ":" not in text and "^" in head:
-        # "p^e" alone denotes the base field F_{p^e}
-        base = m
+    """Parse "p^m:base=e" (or "p^e" / "p" for a base field) below the ceilings.
+
+    Numbers are ASCII digits only; "p^e" alone denotes the base field F_{p^e}.
+    """
+    match = _LITERAL_RE.fullmatch(text)
+    if match is None:
+        raise ValueError(f"cannot parse field literal {text!r}")
+    p_text, m_text, base_text = match.groups()
+    p, m = int(p_text), int(m_text or 1)
+    base = m if base_text is None else int(base_text)
     if m < 1 or base < 1:
         raise ValueError(f"exponent and base degree must be at least 1 in {text!r}")
     if m % base:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
@@ -118,6 +119,7 @@ class Perm:
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
+_POINT_RE = re.compile(r"[0-9]+")
 
 
 def parse_perm(text: str, degree: int) -> Perm:
@@ -127,7 +129,10 @@ def parse_perm(text: str, degree: int) -> Perm:
         raise ValueError(f"cannot parse permutation {text!r}")
     images = list(range(degree))
     for body in reversed(_CYCLE_RE.findall(text)):
-        pts = [int(tok) for tok in re.split(r"[,\s]+", body.strip()) if tok]
+        toks = [tok for tok in re.split(r"[,\s]+", body.strip()) if tok]
+        if not all(_POINT_RE.fullmatch(tok) for tok in toks):
+            raise ValueError(f"cannot parse permutation {text!r}")
+        pts = [int(tok) for tok in toks]
         if not pts:
             continue
         if len(set(pts)) != len(pts):
@@ -341,29 +346,38 @@ def hex_element(s: Perm, eps: int) -> Perm:
     return hexagon_restriction(hex_embed_s5(s, eps))
 
 
+@lru_cache(maxsize=None)
+def _hexagon_pairs() -> dict[Perm, tuple[Perm, int]]:
+    """Each of the 12 symmetries of the hexagon with its pair (s, eps)."""
+    return {hex_element(s, eps): (s, eps) for s in symmetric_group_elements(3) for eps in (0, 1)}
+
+
 def hex_decompose(g: Perm) -> tuple[Perm, int]:
     """Inverse of hex_element; raises for non-symmetries of the hexagon."""
     if g.degree != 6:
         raise ValueError("expected a vertex permutation of degree 6")
-    for s in symmetric_group_elements(3):
-        for eps in (0, 1):
-            if hex_element(s, eps) == g:
-                return s, eps
-    raise ValueError("not a symmetry of the hexagon")
+    pair = _hexagon_pairs().get(g)
+    if pair is None:
+        raise ValueError("not a symmetry of the hexagon")
+    return pair
 
 
 @lru_cache(maxsize=None)
 def hexagon_group_elements() -> tuple[Perm, ...]:
     """All 12 symmetries of the hexagon, canonically sorted."""
-    elems = {
-        hex_element(s, eps)
-        for s in symmetric_group_elements(3)
-        for eps in (0, 1)
-    }
-    return tuple(sorted(elems))
+    return tuple(sorted(_hexagon_pairs()))
 
 
-# --- pinned class representatives ------------------------------------------
+# --- conjugacy classes of subgroups -----------------------------------------
+#
+# A class is named by its census: the multiset of ambient conjugacy classes
+# of its elements.  An element's class is its cycle type in S5, and the pair
+# (cycle type of s, eps) for (s, eps) in the hexagon group S3 x Z/2Z.  The
+# census separates the 19 classes of S5 and the 10 of the hexagon group, so
+# naming a class reads two cached tables (element -> class, census -> pinned
+# name) and never enumerates subgroups; tests/reference_perms.py checks every
+# label against a brute-force smallest-conjugate oracle.
+
 
 _REP_GENS_5: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("[e]", ()),
@@ -401,128 +415,43 @@ _REP_GENS_6: tuple[tuple[str, tuple[tuple[str, int], ...]], ...] = (
 )
 
 
-def _pinned_reps(degree_context: int) -> tuple[tuple[str, tuple[Perm, ...]], ...]:
-    if degree_context == 5:
-        return tuple(
-            (name, tuple(parse_perm(t, 5) for t in gens))
-            for name, gens in _REP_GENS_5
-        )
-    if degree_context == 6:
-        return tuple(
-            (name, tuple(hex_element(parse_perm(t, 3), eps) for t, eps in gens))
-            for name, gens in _REP_GENS_6
-        )
-    raise ValueError("unsupported degree")
-
-
-def class_names(degree_context: int) -> tuple[str, ...]:
-    return tuple(name for name, _ in _pinned_reps(degree_context))
-
-
-# --- subgroup lattice of the ambient group ----------------------------------
-#
-# Every subgroup of S5 and of the hexagon group is generated by two elements,
-# so the cyclic subgroups together with the joins of every pair of them are
-# all the subgroups (156 in degree 5, 16 in degree 6): one pass of pairwise
-# closures enumerates them.  A class is keyed by its smallest conjugate, so
-# labelling is a dictionary lookup; the lattice is cached per ambient group.
-# Elements are indices into the sorted ambient element list and subgroups are
-# bitmasks over those indices.  tests/test_perms.py::TestSubgroupLattice pins
-# the result with independently derived counts (order census, class sizes),
-# and selfcheck.check_class_census re-derives them.
-
-class _Lattice:
-    def __init__(self, degree_context: int):
-        if degree_context == 5:
-            elems = symmetric_group_elements(5)
-        elif degree_context == 6:
-            elems = hexagon_group_elements()
-        else:
-            raise ValueError("unsupported degree")
-        self.elems = elems
-        self.index = {g: i for i, g in enumerate(elems)}
-        self.mul = [[self.index[a * b] for b in elems] for a in elems]
-        self.inv = [self.index[a.inverse()] for a in elems]
-        cyclic = {self._closure_mask((i,)): i for i in range(len(elems))}
-        masks = set(cyclic)
-        masks.update(
-            self._closure_mask(pair)
-            for pair in itertools.combinations(cyclic.values(), 2)
-        )
-        self.masks = tuple(
-            sorted(masks, key=lambda m: (m.bit_count(), self._mask_indices(m)))
-        )
-        pinned: dict[int, str] = {}
-        self.rep_subgroup: dict[str, Subgroup] = {}
-        for name, gens in _pinned_reps(degree_context):
-            mask = self._closure_mask(tuple(self.index[g] for g in gens))
-            canon = self._canonical(mask)
-            if canon in pinned:
-                raise RuntimeError("two pinned representatives are conjugate")
-            pinned[canon] = name
-            self.rep_subgroup[name] = self.subgroup_from_mask(mask, generators=gens)
-        try:
-            self.label_of = {m: pinned[self._canonical(m)] for m in self.masks}
-        except KeyError:
-            raise RuntimeError("pinned representatives do not cover every class") from None
-
-    def _closure_mask(self, gen_idxs: Sequence[int]) -> int:
-        mul = self.mul
-        mask = 1
-        frontier = [0]
-        seen = {0}
-        while frontier:
-            new = []
-            for a in frontier:
-                row = mul[a]
-                for g in gen_idxs:
-                    c = row[g]
-                    if c not in seen:
-                        seen.add(c)
-                        mask |= 1 << c
-                        new.append(c)
-            frontier = new
-        return mask
-
-    @staticmethod
-    def _mask_indices(mask: int) -> tuple[int, ...]:
-        out = []
-        i = 0
-        while mask:
-            if mask & 1:
-                out.append(i)
-            mask >>= 1
-            i += 1
-        return tuple(out)
-
-    def _canonical(self, mask: int) -> int:
-        """The smallest conjugate g*H*g^-1 of the subgroup H, as a bitmask."""
-        mul, inv, idxs = self.mul, self.inv, self._mask_indices(mask)
-        return min(
-            sum(1 << mul[mul[g][a]][inv[g]] for a in idxs)
-            for g in range(len(self.elems))
-        )
-
-    def subgroup_from_mask(self, mask: int, generators: Sequence[Perm] | None = None) -> Subgroup:
-        elems = [self.elems[i] for i in self._mask_indices(mask)]
-        degree = elems[0].degree
-        if generators is None:
-            generators = _reduced_generators(elems, degree)
-        return Subgroup(degree, generators, elems)
-
-    def mask_of(self, group: Subgroup) -> int:
-        mask = 0
-        for g in group.elements:
-            i = self.index.get(g)
-            if i is None:
-                raise ValueError("not a subgroup of the ambient group")
-            mask |= 1 << i
-        return mask
+def _cycle_type(g: Perm) -> tuple[int, ...]:
+    return tuple(sorted(len(cyc) for cyc in g.cycles()))
 
 
 @lru_cache(maxsize=None)
-def _lattice(degree_context: int) -> _Lattice:
-    return _Lattice(degree_context)
+def _element_classes(degree_context: int) -> dict[Perm, tuple]:
+    """Each element of the ambient group with its conjugacy class."""
+    if degree_context == 5:
+        return {g: _cycle_type(g) for g in symmetric_group_elements(5)}
+    if degree_context == 6:
+        return {g: (_cycle_type(s), eps) for g, (s, eps) in _hexagon_pairs().items()}
+    raise ValueError("unsupported degree")
+
+
+def _census(elements: Iterable[Perm], degree_context: int) -> frozenset:
+    """The multiset of element classes; an element outside the group counts as None."""
+    return frozenset(Counter(map(_element_classes(degree_context).get, elements)).items())
+
+
+@lru_cache(maxsize=None)
+def _pinned_classes(degree_context: int) -> tuple[dict[str, Subgroup], dict[frozenset, str]]:
+    """The pinned representatives by name, in listing order, and names by census."""
+    if degree_context == 5:
+        gens = {name: [parse_perm(t, 5) for t in ts] for name, ts in _REP_GENS_5}
+    elif degree_context == 6:
+        gens = {name: [hex_element(parse_perm(t, 3), e) for t, e in ts] for name, ts in _REP_GENS_6}
+    else:
+        raise ValueError("unsupported degree")
+    reps = {name: generate(g, degree_context) for name, g in gens.items()}
+    names = {_census(rep.elements, degree_context): name for name, rep in reps.items()}
+    if len(names) != len(reps):
+        raise RuntimeError("two pinned representatives are conjugate")
+    return reps, names
+
+
+def class_names(degree_context: int) -> tuple[str, ...]:
+    return tuple(_pinned_classes(degree_context)[0])
 
 
 def subgroup_classes(degree_context: int) -> tuple[tuple[ClassLabel, Subgroup], ...]:
@@ -532,23 +461,19 @@ def subgroup_classes(degree_context: int) -> tuple[tuple[ClassLabel, Subgroup], 
     classes of subgroups of the hexagon symmetry group, both in their
     canonical listing order.
     """
-    lat = _lattice(degree_context)
     return tuple(
-        (ClassLabel(degree_context, name), lat.rep_subgroup[name])
-        for name in class_names(degree_context)
+        (ClassLabel(degree_context, name), rep)
+        for name, rep in _pinned_classes(degree_context)[0].items()
     )
 
 
 def class_label(group: Subgroup, degree_context: int) -> ClassLabel:
     """The canonical label of the conjugacy class of a subgroup."""
-    lat = _lattice(degree_context)
-    return ClassLabel(degree_context, lat.label_of[lat.mask_of(group)])
-
-
-def all_subgroups(degree_context: int) -> tuple[Subgroup, ...]:
-    """Every subgroup of the ambient group (156 for degree 5, 16 for degree 6)."""
-    lat = _lattice(degree_context)
-    return tuple(lat.subgroup_from_mask(m) for m in lat.masks)
+    names = _pinned_classes(degree_context)[1]
+    name = names.get(_census(group.elements, degree_context))
+    if name is None:
+        raise ValueError("not a subgroup of the ambient group")
+    return ClassLabel(degree_context, name)
 
 
 def class_representative(label: ClassLabel | str, degree_context: int | None = None) -> Subgroup:
@@ -560,8 +485,79 @@ def class_representative(label: ClassLabel | str, degree_context: int | None = N
         name = label
         if degree_context is None:
             raise ValueError("degree_context is required with a string label")
-    lat = _lattice(degree_context)
-    rep = lat.rep_subgroup.get(name)
+    rep = _pinned_classes(degree_context)[0].get(name)
     if rep is None:
         raise ValueError(f"unknown class label {name!r} for degree {degree_context}")
     return rep
+
+
+# --- subgroup lattice of the ambient group ----------------------------------
+#
+# Only all_subgroups enumerates.  Every subgroup of S5 and of the hexagon
+# group is generated by two elements, so the cyclic subgroups together with
+# the joins of every pair of them are all the subgroups (156 in degree 5, 16
+# in degree 6): one pass of pairwise closures over a multiplication table
+# finds them.  Elements are indices into the sorted ambient element list and
+# subgroups are bitmasks over those indices; the lattice is cached per
+# ambient group.  tests/test_perms.py::TestSubgroupLattice pins the result
+# with independently derived counts (order census, class sizes), and
+# selfcheck.check_class_census re-derives them.
+
+class _Lattice:
+    def __init__(self, degree_context: int):
+        if degree_context == 5:
+            elems = symmetric_group_elements(5)
+        elif degree_context == 6:
+            elems = hexagon_group_elements()
+        else:
+            raise ValueError("unsupported degree")
+        self.elems = elems
+        index = {g.images: i for i, g in enumerate(elems)}
+        self.mul = [
+            [index[tuple(a.images[j] for j in b.images)] for b in elems] for a in elems
+        ]
+        cyclic = {self._closure_mask((i,)): i for i in range(len(elems))}
+        masks = set(cyclic)
+        masks.update(
+            self._closure_mask(pair)
+            for pair in itertools.combinations(cyclic.values(), 2)
+        )
+        self.masks = tuple(
+            sorted(masks, key=lambda m: (m.bit_count(), self._mask_indices(m)))
+        )
+        names = _pinned_classes(degree_context)[1]
+        if any(
+            _census((elems[i] for i in self._mask_indices(m)), degree_context) not in names
+            for m in self.masks
+        ):
+            raise RuntimeError("pinned representatives do not cover every class")
+
+    def _closure_mask(self, gen_idxs: Sequence[int]) -> int:
+        seen, found = {0}, [0]
+        for a in found:  # grows while it is walked
+            row = self.mul[a]
+            for c in (row[g] for g in gen_idxs):
+                if c not in seen:
+                    seen.add(c)
+                    found.append(c)
+        return sum(1 << c for c in found)
+
+    @staticmethod
+    def _mask_indices(mask: int) -> tuple[int, ...]:
+        return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+    def subgroup_from_mask(self, mask: int) -> Subgroup:
+        elems = [self.elems[i] for i in self._mask_indices(mask)]
+        degree = elems[0].degree
+        return Subgroup(degree, _reduced_generators(elems, degree), elems)
+
+
+@lru_cache(maxsize=None)
+def _lattice(degree_context: int) -> _Lattice:
+    return _Lattice(degree_context)
+
+
+def all_subgroups(degree_context: int) -> tuple[Subgroup, ...]:
+    """Every subgroup of the ambient group (156 for degree 5, 16 for degree 6)."""
+    lat = _lattice(degree_context)
+    return tuple(lat.subgroup_from_mask(m) for m in lat.masks)

@@ -191,6 +191,12 @@ class TestRealizeAndVerify:
         assert code == 1
         assert "error" in json.loads(out)
 
+    @pytest.mark.parametrize("field", ["2^1_0", "+7", " 7", "\u0663", "2^", "^3"])
+    def test_field_literal_is_ascii_digits(self, field):
+        code, out = run("realize", "--field", field, "--type", "[e]")
+        assert code == 1
+        assert json.loads(out) == {"error": f"cannot parse field literal {field!r}"}
+
     def test_zero_exponent_field_literal(self):
         code, out = run("realize", "--field", "3^0", "--type", "[e]")
         assert code == 1
@@ -349,6 +355,19 @@ class TestBlowdown:
         assert code == 1
         assert "cannot parse vertex" in json.loads(out)["error"]
 
+    @pytest.mark.parametrize("vertex", ["{\u0664,\u0665}", "{4,5}x"])
+    def test_vertex_is_ascii_digits(self, vertex):
+        code, out = run("blowdown", "--subgroup", "()", "--vertex", vertex)
+        assert code == 1
+        assert json.loads(out) == {
+            "error": f"cannot parse vertex {vertex!r}; expected {{i,j}}"}
+
+    @pytest.mark.parametrize("gens", ["(+1 2)", "(\u0661 2 3 4 5)"])
+    def test_subgroup_points_are_ascii_digits(self, gens):
+        code, out = run("blowdown", "--subgroup", gens, "--vertex", "{4,5}")
+        assert code == 1
+        assert json.loads(out) == {"error": f"cannot parse permutation {gens!r}"}
+
 
 class TestCheckPaper:
     def test_a_raising_check_is_a_fail_line(self, monkeypatch):
@@ -373,6 +392,32 @@ class TestCheckPaper:
                               capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 0, proc.stdout
         assert proc.stdout.splitlines()[-1] == "10/10 checks passed"
+
+
+class TestLabelsWithoutEnumeration:
+    def test_label_path_never_builds_the_lattice(self, tmp_path):
+        # naming a class reads the census tables; only all_subgroups may
+        # build the subgroup lattice, so none of these commands does
+        script = (
+            "import sys\n"
+            "from delpezzo import cli, perms\n"
+            "model = sys.argv[1]\n"
+            "codes = [cli.main(argv) for argv in (\n"
+            "    ['realize', '--field', '7', '--type', '[Z/5Z]', '--output', model],\n"
+            "    ['verify', '--input', model],\n"
+            "    ['realize', '--field', '3', '--degree', '6', '--type', '[Z/6]',\n"
+            "     '--output', model],\n"
+            "    ['verify', '--input', model],\n"
+            "    ['classes', '--degree', '5'],\n"
+            "    ['aut-table'],\n"
+            ")]\n"
+            "print(codes, perms._lattice.cache_info().currsize)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "m.json")],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0] 0"
 
 
 class TestTopLevel:

@@ -102,6 +102,15 @@ class TestLiterals:
         with pytest.raises(ValueError):
             parse_field_literal("abc")
 
+    @pytest.mark.parametrize("text", [
+        "2^1_0", "+7", " 7", "7 ", "\u0663", "7\u0663", "2^", "^3", "", "7:base=1",
+        "2^2:base=+1", "2^2:base=", "2^2:deg=2",
+    ])
+    def test_only_ascii_digit_literals_parse(self, text):
+        with pytest.raises(ValueError) as err:
+            parse_field_literal(text)
+        assert str(err.value) == f"cannot parse field literal {text!r}"
+
     @pytest.mark.parametrize("text", ["3^0", "2^2:base=0", "2^0:base=0"])
     def test_degree_below_one_rejected(self, text):
         with pytest.raises(ValueError, match="at least 1"):

@@ -2,6 +2,7 @@ import random
 from collections import Counter
 
 import pytest
+from reference_perms import smallest_conjugate_labeller
 
 from delpezzo import perms as P
 from delpezzo.perms import ClassLabel, Perm, Subgroup
@@ -33,6 +34,12 @@ class TestPermBasics:
             P.parse_perm("(1 6)", 5)
         with pytest.raises(ValueError):
             P.parse_perm("(1 1 2)", 5)
+
+    @pytest.mark.parametrize("text", ["(+1 2)", "(\u0661 2 3 4 5)", "(1 2_0)", "(1 a)"])
+    def test_points_are_ascii_digits(self, text):
+        with pytest.raises(ValueError) as err:
+            P.parse_perm(text, 5)
+        assert str(err.value) == f"cannot parse permutation {text!r}"
 
     def test_compose_applies_right_factor_first(self):
         a = P.parse_perm("(1 2)", 5)
@@ -246,16 +253,55 @@ class TestSubgroupLattice:
                     if sub != over and sub <= over:
                         assert P.contains_order5(over), (name, over)
 
-    def test_conjugate_pinned_representatives_rejected(self, monkeypatch):
+    @pytest.fixture
+    def fresh_pinned_table(self):
+        # the pinned table is cached per ambient group; rebuild it from the
+        # patched generators, and drop that build again afterwards
+        P._pinned_classes.cache_clear()
+        yield
+        P._pinned_classes.cache_clear()
+
+    def test_conjugate_pinned_representatives_rejected(self, monkeypatch, fresh_pinned_table):
         reps = P._REP_GENS_6 + (("[dup]", (("(2 3)", 0),)),)
         monkeypatch.setattr(P, "_REP_GENS_6", reps)
         with pytest.raises(RuntimeError, match="are conjugate"):
             P._Lattice(6)
 
-    def test_pinned_representatives_must_cover_every_class(self, monkeypatch):
+    def test_pinned_representatives_must_cover_every_class(self, monkeypatch, fresh_pinned_table):
         monkeypatch.setattr(P, "_REP_GENS_6", P._REP_GENS_6[:-1])
         with pytest.raises(RuntimeError, match="do not cover every class"):
             P._Lattice(6)
+
+
+class TestClassLabels:
+    @pytest.mark.parametrize("degree, ambient", [
+        (5, P.symmetric_group_elements(5)), (6, P.hexagon_group_elements()),
+    ])
+    def test_census_label_matches_smallest_conjugate(self, degree, ambient):
+        oracle = smallest_conjugate_labeller(
+            ambient, [(lbl.name, rep) for lbl, rep in P.subgroup_classes(degree)])
+        subgroups = P.all_subgroups(degree)
+        assert len(subgroups) == {5: 156, 6: 16}[degree]
+        for sub in subgroups:
+            assert P.class_label(sub, degree).name == oracle(sub), sub
+
+    @pytest.mark.parametrize("gens, degree, context", [
+        ("(1 2)", 4, 5),
+        ("()", 4, 5),
+        ("(1 2)", 6, 6),
+        ("(1 2 3)", 6, 6),
+        ("(1 2)", 5, 6),
+    ])
+    def test_group_outside_the_ambient_group(self, gens, degree, context):
+        group = P.generate(P.parse_generators(gens, degree), degree)
+        with pytest.raises(ValueError) as err:
+            P.class_label(group, context)
+        assert str(err.value) == "not a subgroup of the ambient group"
+
+    def test_element_set_that_is_not_a_group(self):
+        pair = [Perm.identity(5), P.parse_perm("(1 2 3)", 5)]
+        with pytest.raises(ValueError, match="not a subgroup of the ambient group"):
+            P.class_label(Subgroup(5, pair[1:], pair), 5)
 
 
 class TestHexagonGroup:
