@@ -210,14 +210,15 @@ def _cmd_minimal(args) -> int:
     return 0
 
 
-_VERTEX_RE = re.compile(r"\{?\s*([0-9])\s*,\s*([0-9])\s*\}?")
+# "{i,j}" or "i,j": the closing brace is required exactly when the opening one is there
+_VERTEX_RE = re.compile(r"(\{)?\s*([0-9])\s*,\s*([0-9])\s*(?(1)\})", re.ASCII)
 
 
 def _cmd_blowdown(args) -> int:
     match = _VERTEX_RE.fullmatch(args.vertex)
     if not match:
         raise ValueError(f"cannot parse vertex {args.vertex!r}; expected {{i,j}}")
-    vertex = frozenset(int(g) for g in match.groups())
+    vertex = frozenset(int(g) for g in match.group(2, 3))
     group = generate(parse_generators(args.subgroup, 5), degree=5)
     _, label = blowdown_action(group, vertex)
     if args.json:

@@ -20,7 +20,7 @@ over every finite field.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import isinf, lcm
 
 from .curvegraphs import blowdown_action, invariant_vertices
@@ -249,10 +249,8 @@ class SurfaceModel:
             raise ValueError("blow-down vertex is for degree-6 models only")
 
     def galois_image(self) -> Subgroup:
-        """The image of Frobenius in S5 (recomputed from the points for 4-point models)."""
-        if len(self.config) == 5:
-            return generate([self.frobenius_perm], degree=5)
-        return _four_point_image(frobenius_permutation(self.config))
+        """The image of Frobenius in S5, read from the stored point permutation."""
+        return _s5_image(self.frobenius_perm)
 
     def to_json(self) -> dict:
         data = {
@@ -269,15 +267,22 @@ class SurfaceModel:
         return data
 
 
-def _four_point_image(tau: Perm) -> Subgroup:
-    """The Galois image in S5 of a 4-point blow-up whose points Frobenius permutes by tau.
+def _s5_image(tau: Perm) -> Subgroup:
+    """The Galois image in S5 of a model whose points Frobenius permutes by tau.
 
-    In the Kneser labels the exceptional class over point i is {i,5} and the
+    On five conic points tau already acts on {1..5}.  For a 4-point blow-up,
+    in the Kneser labels the exceptional class over point i is {i,5} and the
     line through points i and j is {1,2,3,4} minus {i,j}.  Frobenius sends
     E_i to E_tau(i) and that line to the line through points tau(i) and
     tau(j), so it acts on the ten labels as tau extended by 5 -> 5.
     """
-    return generate([Perm(tau.images + (4,))], degree=5)
+    return generate([Perm(tau.images + tuple(range(tau.degree, 5)))], degree=5)
+
+
+def _dp5_model(config: PointConfig, construction: str) -> SurfaceModel:
+    """The degree-5 model of a configuration, typed by how Frobenius permutes its points."""
+    tau = frobenius_permutation(config)
+    return SurfaceModel(5, config.spec, config, tau, class_label(_s5_image(tau), 5), construction)
 
 
 def dp5_from_four_points(config: PointConfig) -> SurfaceModel:
@@ -286,16 +291,7 @@ def dp5_from_four_points(config: PointConfig) -> SurfaceModel:
         raise ValueError("the four-point construction needs exactly 4 points")
     if not general_position(config.points):
         raise ValueError("points not in general position: no three of them may be collinear")
-    tau = frobenius_permutation(config)
-    label = class_label(_four_point_image(tau), 5)
-    return SurfaceModel(
-        degree=5,
-        spec=config.spec,
-        config=config,
-        frobenius_perm=tau,
-        type_label=label,
-        construction="fourpoints",
-    )
+    return _dp5_model(config, "fourpoints")
 
 
 # --- small-field four-point realizations -------------------------------------
@@ -304,12 +300,10 @@ def _base_plane_points(work: FieldSpec):
     """All plane points with base-field coordinates, in canonical order."""
     scalars = subfield_elements(work)
     for triple in itertools.product(scalars, repeat=3):
-        if not any(triple):
-            continue
-        lead = next(c for c in triple if c)
-        if lead != one(work):
-            continue
-        yield PlanePoint(work, triple)
+        if any(triple):
+            point = PlanePoint(work, triple)
+            if point.coords == triple:
+                yield point
 
 
 def small_field_realize(base: FieldSpec, label: ClassLabel | str) -> SurfaceModel:
@@ -331,8 +325,7 @@ def small_field_realize(base: FieldSpec, label: ClassLabel | str) -> SurfaceMode
             plane_point(work, 0, 0, 1),
             plane_point(work, 1, 1, 1),
         ]
-        return dp5_from_four_points(PointConfig(work, tuple(pts)))
-    if name == "[<(1,2)>]":
+    elif name == "[<(1,2)>]":
         work = make_field(p, e, 2)
         w = next(elements_of_degree(work, 2))
         pts = [
@@ -341,8 +334,7 @@ def small_field_realize(base: FieldSpec, label: ClassLabel | str) -> SurfaceMode
             PlanePoint(work, (one(work), w, one(work))),
             PlanePoint(work, (one(work), frobenius(w), one(work))),
         ]
-        return dp5_from_four_points(PointConfig(work, tuple(pts)))
-    if name == "[<(1,2)(3,4)>]":
+    elif name == "[<(1,2)(3,4)>]":
         work = make_field(p, e, 2)
         w = next(elements_of_degree(work, 2))
         o, z = one(work), zero(work)
@@ -352,18 +344,18 @@ def small_field_realize(base: FieldSpec, label: ClassLabel | str) -> SurfaceMode
             PlanePoint(work, (o, z, w)),
             PlanePoint(work, (o, z, frobenius(w))),
         ]
-        return dp5_from_four_points(PointConfig(work, tuple(pts)))
-    if name == "[Z/3Z]":
+    elif name == "[Z/3Z]":
         work = make_field(p, e, 3)
         b = next(elements_of_degree(work, 3))
         triple = [conic_point(work, b), conic_point(work, frobenius(b)),
                   conic_point(work, frobenius(b, 2))]
-        for candidate in _base_plane_points(work):
-            if general_position(triple + [candidate]):
-                pts = tuple(triple + [candidate])
-                return dp5_from_four_points(PointConfig(work, pts))
-        raise AssertionError("internal error: no rational point completes the triple")
-    raise ValueError(f"no small-field construction for type {name}")
+        pts = next((triple + [candidate] for candidate in _base_plane_points(work)
+                    if general_position(triple + [candidate])), None)
+        if pts is None:
+            raise AssertionError("internal error: no rational point completes the triple")
+    else:
+        raise ValueError(f"no small-field construction for type {name}")
+    return dp5_from_four_points(PointConfig(work, tuple(pts)))
 
 
 # --- realization dispatchers ---------------------------------------------------
@@ -375,19 +367,10 @@ def realize_dp5(base: FieldSpec, label: ClassLabel | str) -> SurfaceModel:
         raise ValueError("not realizable: H must be cyclic over a finite field")
     requested = class_label(rep, 5)
     if base.q > complexity(rep):
-        betas, work, gen_perm, _ = _points_with_action_stats(base, rep)
-        config = conic_config(betas)
-        tau = frobenius_permutation(config)
-        if tau != gen_perm:
+        betas, _, gen_perm, _ = _points_with_action_stats(base, rep)
+        model = _dp5_model(conic_config(betas), "conic5")
+        if model.frobenius_perm != gen_perm:
             raise AssertionError("internal error: conic action differs from generator")
-        model = SurfaceModel(
-            degree=5,
-            spec=work,
-            config=config,
-            frobenius_perm=tau,
-            type_label=class_label(generate([tau], degree=5), 5),
-            construction="conic5",
-        )
     else:
         model = small_field_realize(base, requested)
     if model.type_label != requested:
@@ -413,15 +396,9 @@ def realize_dp6(base: FieldSpec, label6: ClassLabel | str) -> SurfaceModel:
     for vertex in invariant_vertices(image5):
         _, induced = blowdown_action(image5, vertex)
         if induced == requested:
-            return SurfaceModel(
-                degree=6,
-                spec=model5.spec,
-                config=model5.config,
-                frobenius_perm=model5.frobenius_perm,
-                type_label=requested,
-                construction=model5.construction + "_blowdown",
-                blowdown_vertex=vertex,
-            )
+            return replace(model5, degree=6, type_label=requested,
+                           construction=model5.construction + "_blowdown",
+                           blowdown_vertex=vertex)
     raise AssertionError("internal error: no invariant vertex realizes the blow-down type")
 
 
@@ -435,10 +412,10 @@ def _json_point(spec: FieldSpec, coords) -> PlanePoint:
     if not isinstance(coords, list) or len(coords) != 3:
         raise ValueError("each point must be a list of three coordinates")
     elems = tuple(from_coeffs(spec, c) for c in coords)
-    lead = next((c for c in elems if c), None)
-    if lead is not None and lead != one(spec):
+    point = PlanePoint(spec, elems)
+    if point.coords != elems:
         raise ValueError(f"point {coords!r} is not normalized: its first nonzero coordinate must be 1")
-    return PlanePoint(spec, elems)
+    return point
 
 
 def model_from_json(data: dict) -> SurfaceModel:
@@ -538,7 +515,7 @@ def verify_json(data: dict) -> list[tuple[str, bool, str]]:
 
     if stable and gp and n in (4, 5):
         try:
-            image5 = model.galois_image()
+            image5 = _s5_image(tau)
             if model.degree == 5:
                 recomputed = class_label(image5, 5)
                 ok = recomputed == model.type_label

@@ -329,6 +329,8 @@ MAX_CHARACTERISTIC = 2 ** 16
 MAX_BASE_FIELD = 2 ** 40
 MAX_RELATIVE_DEGREE = 6
 _LITERAL_RE = re.compile(r"([0-9]+)(?:\^([0-9]+)(?::base=([0-9]+))?)?")
+# Below 640, the lowest limit sys.set_int_max_str_digits accepts for int().
+_MAX_DIGITS = 600
 
 
 def parse_field_literal(text: str) -> FieldSpec:
@@ -340,6 +342,8 @@ def parse_field_literal(text: str) -> FieldSpec:
     if match is None:
         raise ValueError(f"cannot parse field literal {text!r}")
     p_text, m_text, base_text = match.groups()
+    if any(len(t) > _MAX_DIGITS for t in match.groups() if t):
+        raise ValueError(f"a number in a field literal has more than {_MAX_DIGITS} digits")
     p, m = int(p_text), int(m_text or 1)
     base = m if base_text is None else int(base_text)
     if m < 1 or base < 1:

@@ -120,18 +120,24 @@ class Perm:
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 _POINT_RE = re.compile(r"[0-9]+")
+_SEPARATOR_RE = re.compile(r"[,\s]+", re.ASCII)
+_BLANK_RE = re.compile(r"\s*", re.ASCII)
+# Below 640, the lowest limit sys.set_int_max_str_digits accepts for int().
+_MAX_DIGITS = 600
 
 
 def parse_perm(text: str, degree: int) -> Perm:
-    """Parse cycle notation like "(1 2)(3 4)" or "(1,2)"; "()" is the identity."""
+    """Parse cycle notation like "(1 2)(3 4)" or "(1,2)" (ASCII only); "()" is the identity."""
     stripped = _CYCLE_RE.sub("", text)
-    if stripped.strip():
+    if not _BLANK_RE.fullmatch(stripped):
         raise ValueError(f"cannot parse permutation {text!r}")
     images = list(range(degree))
     for body in reversed(_CYCLE_RE.findall(text)):
-        toks = [tok for tok in re.split(r"[,\s]+", body.strip()) if tok]
+        toks = [tok for tok in _SEPARATOR_RE.split(body) if tok]
         if not all(_POINT_RE.fullmatch(tok) for tok in toks):
             raise ValueError(f"cannot parse permutation {text!r}")
+        if any(len(tok) > _MAX_DIGITS for tok in toks):
+            raise ValueError(f"a point in a permutation has more than {_MAX_DIGITS} digits")
         pts = [int(tok) for tok in toks]
         if not pts:
             continue
@@ -148,7 +154,7 @@ def parse_perm(text: str, degree: int) -> Perm:
 
 def parse_generators(text: str, degree: int) -> tuple[Perm, ...]:
     """Parse a ';'-separated list of permutations in cycle notation."""
-    parts = [part.strip() for part in text.split(";") if part.strip()]
+    parts = [part for part in text.split(";") if not _BLANK_RE.fullmatch(part)]
     return tuple(parse_perm(part, degree) for part in parts)
 
 

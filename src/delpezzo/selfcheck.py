@@ -160,8 +160,8 @@ def check_class_census() -> tuple[bool, str]:
             else hexagon_group_elements()
         if len(group) != sizes[degree]:
             problems.append(f"degree {degree}: ambient group size {len(group)}")
-    if len(all_subgroups(5)) != 156:
-        problems.append(f"S5 subgroup count {len(all_subgroups(5))}")
+        if len(all_subgroups(degree)) != n_subgroups:
+            problems.append(f"degree {degree}: {len(all_subgroups(degree))} subgroups")
     if problems:
         return False, "; ".join(problems)
     return True, "19 + 10 classes, orders matched; 156 subgroups of S5"

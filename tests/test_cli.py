@@ -27,6 +27,10 @@ def run(*argv):
     return code, buf.getvalue()
 
 
+# More digits than Python's int() converts from a string by default.
+_LONG_CYCLE = "(1 " + "2" * 5000 + ")"
+
+
 class TestClasses:
     def test_degree5_table(self):
         code, out = run("classes", "--degree", "5")
@@ -197,6 +201,16 @@ class TestRealizeAndVerify:
         assert code == 1
         assert json.loads(out) == {"error": f"cannot parse field literal {field!r}"}
 
+    @pytest.mark.parametrize("field", [
+        "7" * 5000, "2^" + "1" * 5000, "2^2:base=" + "1" * 5000,
+    ], ids=["p", "exponent", "base"])
+    def test_field_literal_number_too_long(self, field):
+        # more digits than int() converts: the parser's message, not Python's
+        code, out = run("realize", "--field", field, "--type", "[e]")
+        assert code == 1
+        assert json.loads(out) == {
+            "error": "a number in a field literal has more than 600 digits"}
+
     def test_zero_exponent_field_literal(self):
         code, out = run("realize", "--field", "3^0", "--type", "[e]")
         assert code == 1
@@ -250,6 +264,20 @@ class TestVerifyMalformedInput:
         code, out = run("verify", "--input", str(path))
         assert code == 1
         assert out.startswith("FAIL model parses")
+
+    @pytest.mark.parametrize("key, value, reason", [
+        ("field", "7" * 5000, "a number in a field literal has more than 600 digits"),
+        ("frobenius", _LONG_CYCLE, "a point in a permutation has more than 600 digits"),
+    ], ids=["field", "frobenius"])
+    def test_number_too_long_is_a_parse_fail(self, tmp_path, key, value, reason):
+        path = tmp_path / "model.json"
+        run("realize", "--field", "7", "--type", "[Z/4Z]", "--output", str(path))
+        data = json.loads(path.read_text())
+        data[key] = value
+        path.write_text(json.dumps(data))
+        code, out = run("verify", "--input", str(path))
+        assert code == 1
+        assert out == f"FAIL model parses ({reason})\n"
 
     def test_two_point_model_is_a_general_position_fail(self, tmp_path):
         path = tmp_path / "model.json"
@@ -355,18 +383,46 @@ class TestBlowdown:
         assert code == 1
         assert "cannot parse vertex" in json.loads(out)["error"]
 
-    @pytest.mark.parametrize("vertex", ["{\u0664,\u0665}", "{4,5}x"])
+    # ASCII digits and spaces only (not an ideographic space), both braces or neither
+    @pytest.mark.parametrize("vertex", [
+        "{\u0664,\u0665}", "{4,5}x", "{4,\u30005}", "{4,5", "4,5}",
+    ])
     def test_vertex_is_ascii_digits(self, vertex):
         code, out = run("blowdown", "--subgroup", "()", "--vertex", vertex)
         assert code == 1
         assert json.loads(out) == {
             "error": f"cannot parse vertex {vertex!r}; expected {{i,j}}"}
 
-    @pytest.mark.parametrize("gens", ["(+1 2)", "(\u0661 2 3 4 5)"])
+    @pytest.mark.parametrize("gens", [
+        "(+1 2)", "(\u0661 2 3 4 5)", "(1\u30002)", "\u3000(1 2)",
+    ])
     def test_subgroup_points_are_ascii_digits(self, gens):
         code, out = run("blowdown", "--subgroup", gens, "--vertex", "{4,5}")
         assert code == 1
         assert json.loads(out) == {"error": f"cannot parse permutation {gens!r}"}
+
+    @pytest.mark.parametrize("vertex", ["4,5", "{ 4 , 5 }", "{4,5}"])
+    def test_vertex_spellings(self, vertex):
+        assert run("blowdown", "--subgroup", "(1,2)", "--vertex", vertex) == (0, "[<((1,2),0)>]\n")
+
+
+class TestGeneratorInput:
+    def test_unicode_space_around_a_semicolon_is_an_error_line(self):
+        code, out = run("minimal", "--group", "(1 2)\u3000;\u3000(3 4)", "--galois", "()")
+        assert code == 1
+        assert json.loads(out) == {"error": "cannot parse permutation '(1 2)\\u3000'"}
+
+    @pytest.mark.parametrize("argv", [
+        ("minimal", "--group", _LONG_CYCLE, "--galois", "()"),
+        ("minimal", "--group", "()", "--galois", _LONG_CYCLE),
+        ("graph", "--degree", "5", "--orbits", _LONG_CYCLE),
+        ("blowdown", "--subgroup", _LONG_CYCLE, "--vertex", "{4,5}"),
+    ], ids=["group", "galois", "orbits", "subgroup"])
+    def test_point_too_long_is_an_error_line(self, argv):
+        code, out = run(*argv)
+        assert code == 1
+        assert json.loads(out) == {
+            "error": "a point in a permutation has more than 600 digits"}
 
 
 class TestCheckPaper:

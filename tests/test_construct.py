@@ -439,6 +439,28 @@ class TestJsonRoundTrip:
         assert any(name == "frobenius permutation matches" and not ok
                    for name, ok, _ in verify_json(data))
 
+    def test_tampered_five_point_frobenius_is_typed_from_the_points(self):
+        # the type is read from the permutation recomputed from the points,
+        # as for four-point models; the stored one fails its own check
+        data = realize_dp5(F7, "[Z/4Z]").to_json()
+        data["frobenius"] = "(1 2 3 4 5)"
+        checks = {name: (ok, detail) for name, ok, detail in verify_json(data)}
+        assert checks["type matches"] == (True, "")
+        assert checks["frobenius permutation matches"] == (False, "recomputed (1 2 3 4)")
+
+    def test_tampered_four_point_frobenius_output_is_pinned(self):
+        data = small_field_realize(F3, "[<(1,2)>]").to_json()
+        data["frobenius"] = "(1 2 3)"
+        assert verify_json(data) == [
+            ("model parses", True, ""),
+            ("point count", True, ""),
+            ("construction tag consistent", True, ""),
+            ("frobenius stability", True, ""),
+            ("frobenius permutation matches", False, "recomputed (3 4)"),
+            ("general position", True, ""),
+            ("type matches", True, ""),
+        ]
+
     def test_tampered_point_breaks_stability(self):
         data = realize_dp5(F2, "[Z/5Z]").to_json()
         data["points"][2][1] = [1, 1]  # replace one coordinate

@@ -83,6 +83,10 @@ class TestGenerateOrbits:
         g = P.generate(P.parse_generators("(1 2 3);(1 2);(4 5)", 5))
         assert g.order == 12
 
+    def test_ascii_whitespace_around_generators(self):
+        assert P.parse_generators(" (1 2)\t; (3,4)\n;", 5) == (
+            P.parse_perm("(1 2)", 5), P.parse_perm("(3 4)", 5))
+
     def test_degree_mismatch(self):
         with pytest.raises(ValueError, match="degree mismatch"):
             P.generate([P.parse_perm("(1 2)", 5), P.parse_perm("(1 2)", 4)])

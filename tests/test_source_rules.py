@@ -1,6 +1,7 @@
 """Rules on the package source itself."""
 
 import ast
+import re
 import types
 from pathlib import Path
 
@@ -20,6 +21,42 @@ def test_no_bare_assert_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+# \s, \d, \w or a negation \S, \D, \W after an unescaped backslash; without
+# re.ASCII these match Unicode spaces, digits and letters
+_UNICODE_CLASS = re.compile(r"(?<!\\)(?:\\\\)*\\[sdwSDW]")
+
+
+def _unicode_regex_calls(source):
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "re"
+                and node.args and isinstance(node.args[0], ast.Constant)
+                and isinstance(node.args[0].value, str)):
+            continue
+        pattern = node.args[0].value
+        ascii_flag = any(
+            isinstance(n, ast.Attribute) and n.attr in ("ASCII", "A") for n in ast.walk(node))
+        if _UNICODE_CLASS.search(pattern) and not ascii_flag:
+            yield node.lineno
+
+
+def test_regex_classes_are_ascii_in_the_package():
+    # input is parsed from ASCII digits and separators only; a bare \s would
+    # let an ideographic space through, a bare \d an Arabic-Indic digit
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line in _unicode_regex_calls(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []
+
+
+def test_the_regex_rule_sees_a_unicode_class():
+    assert list(_unicode_regex_calls('import re\nre.compile(r"[,\\s]+")')) == [2]
+    assert list(_unicode_regex_calls('re.split(r"\\d", t, flags=re.ASCII)')) == []
+    assert list(_unicode_regex_calls('re.compile(r"\\\\s")')) == []  # an escaped backslash
 
 
 def test_all_names_every_public_binding_once():
