@@ -16,7 +16,7 @@ from functools import lru_cache
 from .classify import aut_table
 from .construct import realize_dp5, realize_dp6, verify_json
 from .curvegraphs import blowdown_action, curve_graph, to_dot
-from .fields import parse_field_literal
+from .fields import _MAX_DIGITS, parse_field_literal
 from .perms import (
     class_names,
     class_representative,
@@ -172,16 +172,38 @@ def _cmd_realize(args) -> int:
     return 0
 
 
+# About 40x the largest model realize writes (24.7 KB, [Z/6Z] over 65521^2);
+# counted in characters, so a read holds at most 4 MiB of UTF-8.
+_MAX_MODEL_CHARS = 1 << 20
+
+
+class _NumberTooLong(ValueError):
+    pass
+
+
+def _bounded_int(text: str) -> int:
+    """json's parse_int hook: refuse what int() would refuse, with our own message."""
+    if len(text.lstrip("-")) > _MAX_DIGITS:
+        raise _NumberTooLong(f"a number in the model JSON has more than {_MAX_DIGITS} digits")
+    return int(text)
+
+
 def _cmd_verify(args) -> int:
+    if args.input == "-":
+        text = sys.stdin.read(_MAX_MODEL_CHARS + 1)
+    else:
+        with open(args.input, encoding="utf-8") as fh:
+            text = fh.read(_MAX_MODEL_CHARS + 1)
+    if len(text) > _MAX_MODEL_CHARS:
+        raise ValueError(f"model JSON is longer than {_MAX_MODEL_CHARS} characters")
     try:
-        if args.input == "-":
-            data = json.load(sys.stdin)
-        else:
-            with open(args.input, encoding="utf-8") as fh:
-                data = json.load(fh)
+        data = json.loads(text, parse_int=_bounded_int)
     except RecursionError:
         raise ValueError("model JSON is nested too deeply") from None
-    checks = verify_json(data)
+    except _NumberTooLong as err:
+        checks = [("model parses", False, str(err))]
+    else:
+        checks = verify_json(data)
     for name, ok, detail in checks:
         suffix = f" ({detail})" if detail else ""
         print(f"{'PASS' if ok else 'FAIL'} {name}{suffix}")

@@ -48,6 +48,14 @@ class Perm:
         object.__setattr__(self, "degree", len(images))
         object.__setattr__(self, "images", images)
 
+    @classmethod
+    def _unchecked(cls, images: tuple[int, ...]) -> "Perm":
+        """A Perm on an image tuple already known to be a bijection (products, closures)."""
+        perm = object.__new__(cls)
+        object.__setattr__(perm, "degree", len(images))
+        object.__setattr__(perm, "images", images)
+        return perm
+
     def __setattr__(self, name, value):
         raise AttributeError("Perm is immutable")
 
@@ -69,7 +77,8 @@ class Perm:
             return NotImplemented
         if self.degree != other.degree:
             raise ValueError("degree mismatch")
-        return Perm(tuple(self.images[j] for j in other.images))
+        images = self.images
+        return Perm._unchecked(tuple([images[j] for j in other.images]))
 
     def inverse(self) -> "Perm":
         inv = [0] * self.degree
@@ -79,7 +88,7 @@ class Perm:
 
     def order(self) -> int:
         """The lcm of the cycle lengths."""
-        return lcm(*(len(cyc) for cyc in self.cycles()))
+        return _order(self.images)
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Nontrivial cycles, 1-indexed, each starting at its smallest point."""
@@ -116,6 +125,23 @@ class Perm:
 
     def __repr__(self) -> str:
         return f"Perm[{self.cycle_string()}]"
+
+
+@lru_cache(maxsize=4096)
+def _order(images: tuple[int, ...]) -> int:
+    """The lcm of the cycle lengths of an image tuple, walked once per tuple."""
+    seen = [False] * len(images)
+    out = 1
+    for start in range(len(images)):
+        length = 0
+        p = start
+        while not seen[p]:
+            seen[p] = True
+            p = images[p]
+            length += 1
+        if length > 1:
+            out = lcm(out, length)
+    return out
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
@@ -224,19 +250,21 @@ def generate(gens: Iterable[Perm], degree: int | None = None) -> Subgroup:
         degree = gens[0].degree
     if any(g.degree != degree for g in gens):
         raise ValueError("degree mismatch")
-    ident = Perm.identity(degree)
-    elems = {ident}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for a in frontier:
-            for g in gens:
-                c = a * g
-                if c not in elems:
-                    elems.add(c)
-                    new.append(c)
-        frontier = new
-    return Subgroup(degree, gens, tuple(elems))
+    closure = _closure([g.images for g in gens], degree)
+    return Subgroup(degree, gens, [Perm._unchecked(images) for images in closure])
+
+
+def _closure(gens: Sequence[tuple[int, ...]], degree: int) -> list[tuple[int, ...]]:
+    """Image tuples of the group generated by the given image tuples."""
+    found = [tuple(range(degree))]
+    seen = set(found)
+    for a in found:  # grows while it is walked
+        for g in gens:
+            c = tuple([a[j] for j in g])
+            if c not in seen:
+                seen.add(c)
+                found.append(c)
+    return found
 
 
 def orbits(group: Subgroup) -> tuple[tuple[int, ...], ...]:
@@ -291,22 +319,24 @@ def centralizer(group: Subgroup) -> Subgroup:
     """Centralizer in S5 (the automorphism group of a surface of that type)."""
     if group.degree != 5:
         raise ValueError("centralizer is taken inside S5; expected degree 5")
-    elems = [
-        s
-        for s in symmetric_group_elements(5)
-        if all(s * g == g * s for g in group.generators)
-    ]
+    elems = symmetric_group_elements(5)
+    for g in (h.images for h in group.generators):  # keep the s with s * g == g * s
+        elems = [s for s in elems if [s.images[j] for j in g] == [g[j] for j in s.images]]
     return Subgroup(5, _reduced_generators(elems, 5), elems)
 
 
 def _reduced_generators(elements: Sequence[Perm], degree: int) -> tuple[Perm, ...]:
-    """Small deterministic generating set drawn from a full element list."""
+    """Small deterministic generating set drawn from a full element list.
+
+    The greedy takes, in canonical order, each element not yet generated by
+    the ones taken before; _Lattice.subgroup_from_mask runs it on indices.
+    """
     gens: list[Perm] = []
-    have = {Perm.identity(degree)}
+    have = {tuple(range(degree))}
     for g in sorted(elements):
-        if g not in have:
+        if g.images not in have:
             gens.append(g)
-            have = set(generate(gens, degree).elements)
+            have = set(_closure([h.images for h in gens], degree))
             if len(have) == len(elements):
                 break
     return tuple(gens)
@@ -499,15 +529,23 @@ def class_representative(label: ClassLabel | str, degree_context: int | None = N
 
 # --- subgroup lattice of the ambient group ----------------------------------
 #
-# Only all_subgroups enumerates.  Every subgroup of S5 and of the hexagon
-# group is generated by two elements, so the cyclic subgroups together with
-# the joins of every pair of them are all the subgroups (156 in degree 5, 16
-# in degree 6): one pass of pairwise closures over a multiplication table
-# finds them.  Elements are indices into the sorted ambient element list and
-# subgroups are bitmasks over those indices; the lattice is cached per
-# ambient group.  tests/test_perms.py::TestSubgroupLattice pins the result
-# with independently derived counts (order census, class sizes), and
-# selfcheck.check_class_census re-derives them.
+# Only all_subgroups enumerates.  Elements are indices into the sorted ambient
+# element list, subgroups are bitmasks over those indices, and a closure walks
+# a multiplication table; the lattice is cached per ambient group.
+#
+# Every subgroup of S5 and of the hexagon group is generated by two elements,
+# hence is the join of two cyclic subgroups <a> and <b>.  Conjugating by a g
+# with g<a>g^-1 = <r>, r the chosen representative of the class of <a>, turns
+# it into the join of <r> with the cyclic <gbg^-1>.  So the joins of one
+# representative per conjugacy class of cyclic subgroups (7 in S5) with every
+# cyclic subgroup (67 in S5) meet every class of subgroups, and closing them
+# under conjugation by the ambient generators, through an index table, gives
+# every subgroup (156 in degree 5, 16 in degree 6).  The cyclic classes come
+# from that same conjugation, not from the pinned table, so completeness rests
+# on 2-generation alone and "do not cover every class" can still fire.
+# tests/test_perms.py::TestSubgroupLattice pins the counts, tests/
+# reference_perms.py recomputes the masks from the closures of all pairs of
+# elements, and selfcheck.check_class_census re-derives the census.
 
 class _Lattice:
     def __init__(self, degree_context: int):
@@ -520,16 +558,23 @@ class _Lattice:
         self.elems = elems
         index = {g.images: i for i, g in enumerate(elems)}
         self.mul = [
-            [index[tuple(a.images[j] for j in b.images)] for b in elems] for a in elems
+            [index[tuple([a.images[j] for j in b.images])] for b in elems] for a in elems
+        ]
+        inverse = [row.index(0) for row in self.mul]
+        self.conj = [
+            [self.mul[self.mul[g][i]][inverse[g]] for i in range(len(elems))]
+            for g in self._generators((1 << len(elems)) - 1)
         ]
         cyclic = {self._closure_mask((i,)): i for i in range(len(elems))}
-        masks = set(cyclic)
-        masks.update(
-            self._closure_mask(pair)
-            for pair in itertools.combinations(cyclic.values(), 2)
-        )
+        reps: list[int] = []
+        covered: set[int] = set()
+        for mask, i in cyclic.items():
+            if mask not in covered:
+                reps.append(i)
+                covered |= self._conjugates((mask,))
+        joins = {self._closure_mask((r, i)) for r in reps for i in cyclic.values()}
         self.masks = tuple(
-            sorted(masks, key=lambda m: (m.bit_count(), self._mask_indices(m)))
+            sorted(self._conjugates(joins), key=lambda m: (m.bit_count(), self._mask_indices(m)))
         )
         names = _pinned_classes(degree_context)[1]
         if any(
@@ -539,23 +584,51 @@ class _Lattice:
             raise RuntimeError("pinned representatives do not cover every class")
 
     def _closure_mask(self, gen_idxs: Sequence[int]) -> int:
-        seen, found = {0}, [0]
+        seen, found = 1, [0]
         for a in found:  # grows while it is walked
             row = self.mul[a]
-            for c in (row[g] for g in gen_idxs):
-                if c not in seen:
-                    seen.add(c)
+            for g in gen_idxs:
+                c = row[g]
+                if not seen >> c & 1:
+                    seen |= 1 << c
                     found.append(c)
-        return sum(1 << c for c in found)
+        return seen
+
+    def _conjugates(self, masks: Iterable[int]) -> set[int]:
+        """The given masks closed under conjugation by the ambient group."""
+        out = set(masks)
+        found = list(out)
+        for mask in found:  # grows while it is walked
+            idxs = self._mask_indices(mask)
+            for table in self.conj:
+                c = 0
+                for i in idxs:
+                    c |= 1 << table[i]
+                if c not in out:
+                    out.add(c)
+                    found.append(c)
+        return out
 
     @staticmethod
     def _mask_indices(mask: int) -> tuple[int, ...]:
         return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
+    def _generators(self, mask: int) -> list[int]:
+        """The greedy of _reduced_generators on the sorted indices of a subgroup."""
+        gens: list[int] = []
+        have = 1
+        for i in self._mask_indices(mask):
+            if not have >> i & 1:
+                gens.append(i)
+                have = self._closure_mask(gens)
+                if have == mask:
+                    break
+        return gens
+
     def subgroup_from_mask(self, mask: int) -> Subgroup:
         elems = [self.elems[i] for i in self._mask_indices(mask)]
-        degree = elems[0].degree
-        return Subgroup(degree, _reduced_generators(elems, degree), elems)
+        gens = [self.elems[i] for i in self._generators(mask)]
+        return Subgroup(elems[0].degree, gens, elems)
 
 
 @lru_cache(maxsize=None)

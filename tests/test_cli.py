@@ -279,6 +279,64 @@ class TestVerifyMalformedInput:
         assert code == 1
         assert out == f"FAIL model parses ({reason})\n"
 
+    @pytest.mark.parametrize("number", ["5" * 5000, "-" + "5" * 5000], ids=["positive", "negative"])
+    @pytest.mark.parametrize("where", ["degree", "coordinate"])
+    def test_json_integer_too_long_is_a_parse_fail(self, tmp_path, where, number):
+        # int() refuses more than 4300 digits with Python's own text; the
+        # bounded parse_int hook answers first, as a model parses FAIL
+        path = tmp_path / "model.json"
+        run("realize", "--field", "7", "--type", "[Z/4Z]", "--output", str(path))
+        data = json.loads(path.read_text())
+        if where == "degree":
+            data["degree"] = "@"
+        else:
+            data["points"][1][1][0] = "@"
+        path.write_text(json.dumps(data).replace('"@"', number))
+        code, out = run("verify", "--input", str(path))
+        assert code == 1
+        assert out == "FAIL model parses (a number in the model JSON has more than 600 digits)\n"
+
+    def test_json_integer_at_the_digit_bound_still_parses(self, tmp_path):
+        path = tmp_path / "model.json"
+        run("realize", "--field", "7", "--type", "[Z/4Z]", "--output", str(path))
+        path.write_text(path.read_text().replace('"degree": 5', '"degree": ' + "5" * 600))
+        code, out = run("verify", "--input", str(path))
+        assert code == 1
+        assert out.startswith("FAIL model parses (")
+        assert "digits" not in out
+
+    def test_input_over_the_cap_is_an_error_line(self, tmp_path):
+        # a valid model padded past 1 MiB is refused before it is parsed
+        path = tmp_path / "model.json"
+        run("realize", "--field", "7", "--type", "[Z/4Z]", "--output", str(path))
+        path.write_text(path.read_text() + " " * (1 << 20))
+        code, out = run("verify", "--input", str(path))
+        assert code == 1
+        assert json.loads(out) == {"error": "model JSON is longer than 1048576 characters"}
+
+    def test_endless_stdin_is_read_up_to_the_cap(self, monkeypatch):
+        class Endless:
+            def read(self, size=-1):
+                if size < 0:
+                    raise AssertionError("an unbounded read of an endless stream")
+                return " " * size
+
+        monkeypatch.setattr(sys, "stdin", Endless())
+        code, out = run("verify", "--input", "-")
+        assert code == 1
+        assert json.loads(out) == {"error": "model JSON is longer than 1048576 characters"}
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+    @pytest.mark.parametrize("via", ["file", "stdin"])
+    def test_dev_zero_is_an_error_line(self, via):
+        # the child's address space is capped, so an unbounded read ends in
+        # a MemoryError traceback instead of growing without limit
+        argv = ["verify", "--input", "/dev/zero" if via == "file" else "-"]
+        with open("/dev/zero", "rb") as zero:
+            code, out, err = run_address_limited(*argv, stdin=zero)
+        assert (code, err) == (1, "")
+        assert json.loads(out) == {"error": "model JSON is longer than 1048576 characters"}
+
     def test_two_point_model_is_a_general_position_fail(self, tmp_path):
         path = tmp_path / "model.json"
         run("realize", "--field", "7", "--type", "[e]", "--output", str(path))
@@ -299,6 +357,20 @@ def run_bounded(*argv):
     proc = subprocess.run([sys.executable, "-m", "delpezzo", *argv],
                           capture_output=True, text=True, env=env, timeout=60)
     return proc.returncode, proc.stdout
+
+
+def run_address_limited(*argv, stdin=None):
+    """The CLI in a child process whose address space alone is capped at 256 MiB."""
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "delpezzo", *argv], stdin=stdin,
+                          preexec_fn=limit, capture_output=True, text=True, env=env,
+                          timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 class TestLargeFields:

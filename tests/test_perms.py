@@ -2,7 +2,12 @@ import random
 from collections import Counter
 
 import pytest
-from reference_perms import smallest_conjugate_labeller
+from reference_perms import (
+    commuting_elements,
+    order_by_cycles,
+    smallest_conjugate_labeller,
+    subgroups_by_pairs,
+)
 
 from delpezzo import perms as P
 from delpezzo.perms import ClassLabel, Perm, Subgroup
@@ -275,6 +280,45 @@ class TestSubgroupLattice:
         monkeypatch.setattr(P, "_REP_GENS_6", P._REP_GENS_6[:-1])
         with pytest.raises(RuntimeError, match="do not cover every class"):
             P._Lattice(6)
+
+
+_AMBIENTS = [(5, P.symmetric_group_elements(5)), (6, P.hexagon_group_elements())]
+
+
+class TestLatticeOracles:
+    @pytest.mark.parametrize("degree, ambient", _AMBIENTS)
+    def test_masks_are_the_closures_of_all_pairs(self, degree, ambient):
+        # the conjugacy-reduced joins find exactly the subgroups generated by
+        # two elements, i.e. every subgroup
+        lat = P._lattice(degree)
+        found = {
+            frozenset(g.images for i, g in enumerate(lat.elems) if mask >> i & 1)
+            for mask in lat.masks
+        }
+        assert len(found) == len(lat.masks) == {5: 156, 6: 16}[degree]
+        assert found == subgroups_by_pairs(ambient)
+
+    @pytest.mark.parametrize("degree", [5, 6])
+    def test_mask_generators_are_the_greedy_ones(self, degree):
+        lat = P._lattice(degree)
+        for mask in lat.masks:
+            sub = lat.subgroup_from_mask(mask)
+            assert sub.generators == P._reduced_generators(sub.elements, degree)
+            assert P.generate(sub.generators, degree) == sub
+
+    def test_centralizer_is_the_commuting_set(self):
+        s5 = P.symmetric_group_elements(5)
+        for sub in P.all_subgroups(5):
+            cent = P.centralizer(sub)
+            assert {g.images for g in cent.elements} == commuting_elements(s5, sub)
+            assert P.generate(cent.generators, 5) == cent
+            assert cent.generators == P._reduced_generators(cent.elements, 5)
+
+    @pytest.mark.parametrize("degree, ambient", _AMBIENTS)
+    def test_order_is_the_lcm_of_cycle_lengths(self, degree, ambient):
+        for g in ambient:
+            assert g.order() == order_by_cycles(g.images)
+            assert g.order() == order_by_cycles(g.images)  # read from the cache
 
 
 class TestClassLabels:

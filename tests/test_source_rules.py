@@ -76,3 +76,36 @@ def test_private_names_the_benchmark_tracer_hooks_exist():
     # metrics; a rename would silently drop them from a traced run
     assert callable(perms._Lattice)
     assert callable(construct._points_with_action_stats)
+
+
+def _unchecked_perm_uses(source):
+    """(line, enclosing function) of every reference to Perm._unchecked."""
+    tree = ast.parse(source)
+    owner = {}
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                owner.setdefault(node, func.name)  # outermost function first
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "_unchecked"
+                or isinstance(node, ast.Name) and node.id == "_unchecked"):
+            yield node.lineno, owner.get(node)
+
+
+def test_unchecked_perm_constructor_stays_inside_perms():
+    # Perm._unchecked skips the bijection check, which is sound only for
+    # products and closures of Perms that passed it; a parser or a JSON path
+    # that used it could build a Perm that is not a permutation
+    outside = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py")) if path.name != "perms.py"
+        for line, _ in _unchecked_perm_uses(path.read_text(encoding="utf-8"))
+    ]
+    assert outside == []
+    inside = _unchecked_perm_uses((PACKAGE / "perms.py").read_text(encoding="utf-8"))
+    assert not any(owner is None or owner.startswith("parse") for _, owner in inside)
+
+
+def test_the_unchecked_rule_sees_a_use():
+    source = "def parse_x(t):\n    return Perm._unchecked(t)\nq = _unchecked(())\n"
+    assert sorted(_unchecked_perm_uses(source), key=str) == [(2, "parse_x"), (3, None)]
