@@ -188,6 +188,18 @@ def _bounded_int(text: str) -> int:
     return int(text)
 
 
+# Longer than any message the package writes itself, so only echoed user
+# text (a frobenius string, a file name, a field literal) is ever cut.
+_MAX_REASON_CHARS = 200
+
+
+def _clip(text: str) -> str:
+    """``text`` cut to at most _MAX_REASON_CHARS characters, ending in "..." if cut."""
+    if len(text) <= _MAX_REASON_CHARS:
+        return text
+    return text[:_MAX_REASON_CHARS - 3] + "..."
+
+
 def _cmd_verify(args) -> int:
     if args.input == "-":
         text = sys.stdin.read(_MAX_MODEL_CHARS + 1)
@@ -205,7 +217,7 @@ def _cmd_verify(args) -> int:
     else:
         checks = verify_json(data)
     for name, ok, detail in checks:
-        suffix = f" ({detail})" if detail else ""
+        suffix = f" ({_clip(detail)})" if detail else ""
         print(f"{'PASS' if ok else 'FAIL'} {name}{suffix}")
     return 0 if all(ok for _, ok, _ in checks) else 1
 
@@ -284,7 +296,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _HANDLERS[args.command](args)
     except (ValueError, OSError, json.JSONDecodeError) as err:
-        print(json.dumps({"error": str(err)}))
+        print(json.dumps({"error": _clip(str(err))}))
         return 1
 
 

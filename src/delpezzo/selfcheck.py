@@ -5,7 +5,9 @@ Each check re-derives one pinned table or headline claim from scratch
 backtracking search for graph automorphisms, full realize/verify sweeps
 through the command-line interface — and compares against the package's
 answer.  ``run_all`` executes the ten checks in order and reports timing;
-the ``check-paper`` CLI command prints the scoreboard.
+the ``check-paper`` CLI command prints the scoreboard.  The sweeps pass each
+model in memory, from ``realize --json`` to ``verify --input -``: no file is
+written, so ``verify`` only ever reads the text just realized.
 
 All comparisons are exact; there are no tolerances anywhere.
 """
@@ -16,9 +18,8 @@ import contextlib
 import io
 import itertools
 import json
-import os
 import random
-import tempfile
+import sys
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -65,14 +66,39 @@ class CheckResult:
     detail: str
 
 
-def _run_cli(*argv: str) -> tuple[int, str]:
-    """Run the command-line interface in-process, capturing stdout."""
+def _run_cli(*argv: str, stdin: str = "") -> tuple[int, str]:
+    """Run the command-line interface in-process on ``stdin``, capturing stdout."""
     from . import cli
 
     buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = cli.main(list(argv))
+    saved, sys.stdin = sys.stdin, io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(buf):
+            code = cli.main(list(argv))
+    finally:
+        sys.stdin = saved
     return code, buf.getvalue()
+
+
+def _round_trips(fields, labels, degree: int) -> tuple[list[tuple[int, str, dict]], str]:
+    """Realize each (field, label) with ``--json`` and verify exactly that text.
+
+    Returns (q, label, model) per model verified, then the first problem or "".
+    """
+    models = []
+    for (literal, q), label in itertools.product(fields, labels):
+        code, text = _run_cli("realize", "--field", literal, "--degree",
+                              str(degree), "--type", label, "--json")
+        if code != 0:
+            return models, f"degree-{degree} realize failed for {label} over F_{q}: {text}"
+        model = json.loads(text)
+        if model["type"] != label:
+            return models, f"type drift for {label} over F_{q}"
+        code, out = _run_cli("verify", "--input", "-", stdin=text)
+        if code != 0 or "FAIL" in out:
+            return models, f"degree-{degree} verify failed for {label} over F_{q}:\n{out}"
+        models.append((q, label, model))
+    return models, ""
 
 
 # --- pinned expectations (duplicated here on purpose, as the cross-check) ----
@@ -325,37 +351,22 @@ def check_graph_isomorphism() -> tuple[bool, str]:
 def check_realization_sweep() -> tuple[bool, str]:
     """Realize+verify all cyclic degree-5 types over q in {2,..,9}; reject rest."""
     cyclic = _cyclic_labels(5)
+    models, problem = _round_trips(_FIELD_LITERALS, cyclic, 5)
+    if problem:
+        return False, problem
+    for q, label, model in models:
+        expected_tag = "fourpoints" if label in _FALLBACK_EXPECTED.get(q, set()) else "conic5"
+        if model["construction"] != expected_tag:
+            return False, f"{label} over F_{q}: construction " \
+                          f"{model['construction']}, expected {expected_tag}"
+    negatives = 0
     non_cyclic = [n for n in class_names(5) if n not in cyclic]
-    positives = negatives = 0
-    # One file per model: verify cannot pass on a stale model, and no file is
-    # overwritten just after it was written, which can stall for tens of ms.
-    with tempfile.TemporaryDirectory() as tmp:
-        for (literal, q), label in itertools.product(_FIELD_LITERALS, cyclic):
-            model_path = os.path.join(tmp, f"model-{positives}.json")
-            code, out = _run_cli(
-                "realize", "--field", literal, "--type", label,
-                "--json", "--output", model_path,
-            )
-            if code != 0:
-                return False, f"realize failed for {label} over F_{q}: {out}"
-            model = json.loads(out)
-            if model["type"] != label:
-                return False, f"type drift for {label} over F_{q}"
-            fallback = label in _FALLBACK_EXPECTED.get(q, set())
-            expected_tag = "fourpoints" if fallback else "conic5"
-            if model["construction"] != expected_tag:
-                return False, f"{label} over F_{q}: construction " \
-                              f"{model['construction']}, expected {expected_tag}"
-            code, out = _run_cli("verify", "--input", model_path)
-            if code != 0 or "FAIL" in out:
-                return False, f"verify failed for {label} over F_{q}:\n{out}"
-            positives += 1
-        for (literal, q), label in itertools.product(_FIELD_LITERALS, non_cyclic):
-            code, out = _run_cli("realize", "--field", literal, "--type", label)
-            if code != 1 or "cyclic" not in json.loads(out)["error"]:
-                return False, f"non-cyclic {label} over F_{q} not rejected"
-            negatives += 1
-    return True, f"{positives} realized+verified, {negatives} rejected"
+    for (literal, q), label in itertools.product(_FIELD_LITERALS, non_cyclic):
+        code, out = _run_cli("realize", "--field", literal, "--type", label)
+        if code != 1 or "cyclic" not in json.loads(out)["error"]:
+            return False, f"non-cyclic {label} over F_{q} not rejected"
+        negatives += 1
+    return True, f"{len(models)} realized+verified, {negatives} rejected"
 
 
 def check_complexity_thresholds() -> tuple[bool, str]:
@@ -379,28 +390,14 @@ def check_degree6_pipeline() -> tuple[bool, str]:
     images = {hexagon_restriction(s) for s in stab.elements}
     if len(images) != 12 or images != set(hexagon_group_elements()):
         return False, "restriction map is not a bijection onto the hexagon group"
-    cyclic = _cyclic_labels(6)
-    count = 0
-    with tempfile.TemporaryDirectory() as tmp:
-        for (literal, q), label in itertools.product(
-            (("2", 2), ("3", 3), ("2^2", 4)), cyclic
-        ):
-            model_path = os.path.join(tmp, f"model-{count}.json")
-            code, out = _run_cli(
-                "realize", "--field", literal, "--degree", "6",
-                "--type", label, "--json", "--output", model_path,
-            )
-            if code != 0:
-                return False, f"degree-6 realize failed for {label} over F_{q}"
-            model = json.loads(out)
-            if model["type"] != label or "blowdown_vertex" not in model:
-                return False, f"bad degree-6 model for {label} over F_{q}"
-            code, out = _run_cli("verify", "--input", model_path)
-            if code != 0 or "FAIL" in out:
-                return False, f"degree-6 verify failed for {label} over F_{q}"
-            count += 1
-    return True, f"stabilizer restriction bijective; {count} blow-down models " \
-                 f"realized+verified"
+    models, problem = _round_trips((("2", 2), ("3", 3), ("2^2", 4)), _cyclic_labels(6), 6)
+    if problem:
+        return False, problem
+    for q, label, model in models:
+        if "blowdown_vertex" not in model:
+            return False, f"bad degree-6 model for {label} over F_{q}"
+    return True, f"stabilizer restriction bijective; {len(models)} blow-down " \
+                 f"models realized+verified"
 
 
 def check_minimal_existence() -> tuple[bool, str]:

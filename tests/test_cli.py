@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 import delpezzo
 from delpezzo import selfcheck
 from delpezzo.cli import main
+from delpezzo.construct import verify_json
 
 SRC = Path(delpezzo.__file__).resolve().parent.parent
 
@@ -349,6 +351,71 @@ class TestVerifyMalformedInput:
         lines = out.splitlines()
         assert lines[0] == "PASS model parses"
         assert "FAIL general position (general position needs at least three points)" in lines
+
+
+def run_on_stdin(text, *argv):
+    """The CLI in process, reading ``text`` as its standard input."""
+    saved, sys.stdin = sys.stdin, io.StringIO(text)
+    try:
+        return run(*argv)
+    finally:
+        sys.stdin = saved
+
+
+@lru_cache(maxsize=None)
+def _realized(field, degree, label):
+    code, out = run("realize", "--field", field, "--degree", degree, "--type", label, "--json")
+    assert code == 0
+    return out
+
+
+# At most nine check lines, each reason at most 200 characters of at most four
+# UTF-8 bytes: whatever verify reads, it prints no more than this.
+_VERIFY_OUTPUT_BYTES = 8192
+_MODELS = [("7", "5", "[Z/4Z]"), ("2", "5", "[e]"), ("3", "6", "[Z/6]")]
+# Up to 16 000 characters, past any cap on echoed text.
+_LONG_TEXT = st.builds(lambda piece, n: piece * n,
+                       st.text(min_size=1, max_size=8), st.integers(1, 2000))
+_VALUE = st.none() | st.integers() | _LONG_TEXT | st.lists(_LONG_TEXT, max_size=3)
+
+
+def _stdin_text(data):
+    """Random text, or a realized model with one key set to a random value."""
+    if data.draw(st.booleans()):
+        return data.draw(st.text(max_size=64) | _LONG_TEXT)
+    model = json.loads(_realized(*data.draw(st.sampled_from(_MODELS))))
+    model[data.draw(st.sampled_from(sorted(model)))] = data.draw(_VALUE)
+    return json.dumps(model)
+
+
+class TestEchoedTextIsCapped:
+    def test_megabyte_frobenius_is_cut_in_the_fail_line(self):
+        model = json.loads(_realized("7", "5", "[Z/4Z]"))
+        model["frobenius"] = "x" * 10**6
+        code, out = run_on_stdin(json.dumps(model), "verify", "--input", "-")
+        reason = f"cannot parse permutation {model['frobenius']!r}"
+        assert code == 1
+        assert out == f"FAIL model parses ({reason[:197]}...)\n"
+        # the library call keeps the whole reason
+        assert verify_json(model) == [("model parses", False, reason)]
+
+    def test_input_one_character_over_the_cap_is_an_error_line(self):
+        code, out = run_on_stdin(" " * ((1 << 20) + 1), "verify", "--input", "-")
+        assert code == 1
+        assert out == '{"error": "model JSON is longer than 1048576 characters"}\n'
+
+    def test_long_field_literal_is_cut_in_the_error_line(self):
+        field = "x" * 5000
+        code, out = run("realize", "--field", field, "--type", "[e]")
+        assert code == 1
+        assert json.loads(out) == {"error": f"cannot parse field literal {field!r}"[:197] + "..."}
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_any_stdin_gives_bounded_output(self, data):
+        code, out = run_on_stdin(_stdin_text(data), "verify", "--input", "-")
+        assert code in (0, 1)
+        assert len(out.encode("utf-8")) <= _VERIFY_OUTPUT_BYTES
 
 
 def run_bounded(*argv):
