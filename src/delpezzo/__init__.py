@@ -7,6 +7,8 @@ minimality questions in the Picard lattice, and verifies all of it with
 exact integer and finite-field arithmetic — no floating point anywhere.
 """
 
+import types as _types
+
 from .classify import (
     AutDescription,
     FieldCapability,
@@ -102,87 +104,8 @@ from .picard import (
     minus_one_classes,
 )
 
-__all__ = [
-    "AutDescription",
-    "CurveGraph",
-    "ClassLabel",
-    "FFElem",
-    "FieldCapability",
-    "FieldSpec",
-    "LatticeAction",
-    "Perm",
-    "PicClass",
-    "PlanePoint",
-    "PointConfig",
-    "Subgroup",
-    "SurfaceModel",
-    "VertexPerm",
-    "all_subgroups",
-    "aut_group_of",
-    "aut_table",
-    "blowdown_action",
-    "canonical_class",
-    "centralizer",
-    "class_label",
-    "class_names",
-    "class_representative",
-    "complexity",
-    "conic_classes",
-    "conic_config",
-    "conic_point",
-    "contains_order5",
-    "curve_graph",
-    "custom",
-    "cyclic_generator",
-    "dp5_from_four_points",
-    "e_class",
-    "element_degree",
-    "element_of_degree",
-    "elements_of_degree",
-    "field_elements",
-    "finite",
-    "frobenius",
-    "frobenius_orbit",
-    "frobenius_permutation",
-    "g_minimal_exists",
-    "gen",
-    "general_position",
-    "generate",
-    "graph_action",
-    "h_class",
-    "has_invariant_independent_set",
-    "hex_decompose",
-    "hex_element",
-    "hex_embed_s5",
-    "hexagon_group_elements",
-    "hexagon_restriction",
-    "in_base_field",
-    "induced_lattice_action",
-    "intersect",
-    "invariant_rank",
-    "invariant_vertices",
-    "is_g_minimal",
-    "make_field",
-    "minimal_polynomial",
-    "minus_one_classes",
-    "model_from_json",
-    "number_field",
-    "one",
-    "orbits",
-    "parse_field_literal",
-    "parse_generators",
-    "parse_perm",
-    "plane_point",
-    "points_with_action",
-    "realizable",
-    "realize_dp5",
-    "realize_dp6",
-    "small_field_realize",
-    "subfield_elements",
-    "subgroup_classes",
-    "symmetric_group_elements",
-    "to_dot",
-    "vertex_stabilizer",
-    "verify_json",
-    "zero",
-]
+# The names imported above; each `from .x import` also binds the submodule x.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _types.ModuleType)
+)

@@ -88,6 +88,11 @@ def _print_table(rows: list[tuple[str, ...]], header: tuple[str, ...]) -> None:
         print("  ".join(c.ljust(w) for c, w in zip(row, widths)))
 
 
+def _generator_list(group) -> str:
+    """A group's generators in cycle notation, "; "-separated; "()" if there are none."""
+    return "; ".join(g.cycle_string() for g in group.generators) or "()"
+
+
 def _cmd_classes(args) -> int:
     entries = []
     for name in class_names(args.degree):
@@ -96,8 +101,7 @@ def _cmd_classes(args) -> int:
             "label": name,
             "order": rep.order,
             "cyclic": rep.is_cyclic,
-            "representative":
-                "; ".join(g.cycle_string() for g in rep.generators) or "()",
+            "representative": _generator_list(rep),
         })
     if args.json:
         print(json.dumps(entries, indent=2))
@@ -118,9 +122,7 @@ def _cmd_aut_table(args) -> int:
                 "type": r.label.name,
                 "aut_group": r.group_name,
                 "order": r.aut_group.order,
-                "generators": "; ".join(
-                    g.cycle_string() for g in r.aut_group.generators
-                ) or "()",
+                "generators": _generator_list(r.aut_group),
             }
             for r in rows
         ], indent=2))
@@ -232,9 +234,7 @@ def _cmd_minimal(args) -> int:
         print(json.dumps({
             "minimal": minimal,
             "delta_order": delta.order,
-            "delta_generators": "; ".join(
-                g.cycle_string() for g in delta.generators
-            ),
+            "delta_generators": _generator_list(delta),
             "invariant_rank": rank,
         }, indent=2))
     else:

@@ -442,6 +442,8 @@ def model_from_json(data: dict) -> SurfaceModel:
         raise ValueError(f"field must be written {spec.literal()!r}, not {field!r}")
     if not isinstance(data["points"], list):
         raise ValueError("points must be a list")
+    if len(data["points"]) > 5:
+        raise ValueError(f"a model has at most 5 points, not {len(data['points'])}")
     points = tuple(_json_point(spec, coords) for coords in data["points"])
     perm = parse_perm(frob, degree=len(points))
     if frob != perm.cycle_string():

@@ -329,7 +329,8 @@ def _reduced_generators(elements: Sequence[Perm], degree: int) -> tuple[Perm, ..
     """Small deterministic generating set drawn from a full element list.
 
     The greedy takes, in canonical order, each element not yet generated by
-    the ones taken before; _Lattice.subgroup_from_mask runs it on indices.
+    the ones taken before.  It names the generators of every Subgroup built
+    from a full element list: centralizers, vertex stabilizers, the lattice.
     """
     gens: list[Perm] = []
     have = {tuple(range(degree))}
@@ -531,7 +532,9 @@ def class_representative(label: ClassLabel | str, degree_context: int | None = N
 #
 # Only all_subgroups enumerates.  Elements are indices into the sorted ambient
 # element list, subgroups are bitmasks over those indices, and a closure walks
-# a multiplication table; the lattice is cached per ambient group.
+# a multiplication table.  The lattice and its Subgroups are cached per ambient
+# group, and each Subgroup (the ambient group too, for the conjugation tables)
+# takes its generators from _reduced_generators.
 #
 # Every subgroup of S5 and of the hexagon group is generated by two elements,
 # hence is the join of two cyclic subgroups <a> and <b>.  Conjugating by a g
@@ -563,7 +566,7 @@ class _Lattice:
         inverse = [row.index(0) for row in self.mul]
         self.conj = [
             [self.mul[self.mul[g][i]][inverse[g]] for i in range(len(elems))]
-            for g in self._generators((1 << len(elems)) - 1)
+            for g in (index[h.images] for h in _reduced_generators(elems, degree_context))
         ]
         cyclic = {self._closure_mask((i,)): i for i in range(len(elems))}
         reps: list[int] = []
@@ -613,22 +616,10 @@ class _Lattice:
     def _mask_indices(mask: int) -> tuple[int, ...]:
         return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
-    def _generators(self, mask: int) -> list[int]:
-        """The greedy of _reduced_generators on the sorted indices of a subgroup."""
-        gens: list[int] = []
-        have = 1
-        for i in self._mask_indices(mask):
-            if not have >> i & 1:
-                gens.append(i)
-                have = self._closure_mask(gens)
-                if have == mask:
-                    break
-        return gens
-
     def subgroup_from_mask(self, mask: int) -> Subgroup:
         elems = [self.elems[i] for i in self._mask_indices(mask)]
-        gens = [self.elems[i] for i in self._generators(mask)]
-        return Subgroup(elems[0].degree, gens, elems)
+        degree = elems[0].degree
+        return Subgroup(degree, _reduced_generators(elems, degree), elems)
 
 
 @lru_cache(maxsize=None)
@@ -636,6 +627,7 @@ def _lattice(degree_context: int) -> _Lattice:
     return _Lattice(degree_context)
 
 
+@lru_cache(maxsize=None)
 def all_subgroups(degree_context: int) -> tuple[Subgroup, ...]:
     """Every subgroup of the ambient group (156 for degree 5, 16 for degree 6)."""
     lat = _lattice(degree_context)

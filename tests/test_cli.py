@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from functools import lru_cache
 from pathlib import Path
@@ -352,6 +353,19 @@ class TestVerifyMalformedInput:
         assert lines[0] == "PASS model parses"
         assert "FAIL general position (general position needs at least three points)" in lines
 
+    def test_seventy_thousand_points_fail_before_any_coordinate(self):
+        # just under the input cap; each point is parsed only once the list
+        # is known to be no longer than a model can be
+        model = json.loads(_realized("7", "5", "[e]"))
+        model["points"] = model["points"][:1] * 70000
+        text = json.dumps(model, separators=(",", ":"))
+        assert len(text) < 1 << 20
+        start = time.perf_counter()
+        code, out = run_on_stdin(text, "verify", "--input", "-")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert out == "FAIL model parses (a model has at most 5 points, not 70000)\n"
+
 
 def run_on_stdin(text, *argv):
     """The CLI in process, reading ``text`` as its standard input."""
@@ -481,6 +495,12 @@ class TestMinimal:
         data = json.loads(out)
         assert data["minimal"] is False
         assert data["invariant_rank"] == 5
+
+    def test_empty_combined_generators_print_as_the_identity(self):
+        # the same "()" that classes and aut-table print for a trivial group
+        code, out = run("minimal", "--group", "", "--galois", "", "--json")
+        assert code == 0
+        assert json.loads(out)["delta_generators"] == "()"
 
     def test_group_contribution_counts(self):
         # even a trivial Galois action is minimal under an order-5 group

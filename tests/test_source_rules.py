@@ -71,6 +71,17 @@ def test_all_names_every_public_binding_once():
     assert set(delpezzo.__all__) == public
 
 
+def test_star_import_binds_exactly_all():
+    # the import statement itself: no submodule (classify, perms, ...) and
+    # no private helper leaks into the importer's namespace
+    namespace = {}
+    exec("from delpezzo import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(delpezzo.__all__)
+    assert not any(name.startswith("_") or isinstance(value, types.ModuleType)
+                   for name, value in namespace.items())
+
+
 def test_private_names_the_benchmark_tracer_hooks_exist():
     # perfbench/tracer.py wraps these two by name for its per-layer
     # metrics; a rename would silently drop them from a traced run
