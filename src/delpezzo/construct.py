@@ -60,6 +60,8 @@ def _normalized(coords: tuple[FFElem, FFElem, FFElem]) -> tuple[FFElem, FFElem, 
     lead = next((c for c in coords if c), None)
     if lead is None:
         raise ValueError("point has no nonzero coordinate")
+    if lead._v == 1:  # already scaled: the inverse of 1 is 1
+        return tuple(coords)
     inv = lead.inverse()
     return tuple(c * inv for c in coords)
 
@@ -72,7 +74,8 @@ class PlanePoint:
     coords: tuple[FFElem, FFElem, FFElem]
 
     def __post_init__(self):
-        if len(self.coords) != 3 or any(c.spec != self.spec for c in self.coords):
+        spec = self.spec
+        if len(self.coords) != 3 or any(c.spec is not spec and c.spec != spec for c in self.coords):
             raise ValueError("a plane point needs three coordinates in one field")
         object.__setattr__(self, "coords", _normalized(self.coords))
 
@@ -98,24 +101,30 @@ def plane_point(spec: FieldSpec, *coords) -> PlanePoint:
     return PlanePoint(spec, lifted)
 
 
-def _cross(a: PlanePoint, b: PlanePoint) -> tuple[FFElem, FFElem, FFElem]:
-    (a0, a1, a2), (b0, b1, b2) = a.coords, b.coords
-    return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
-
-
-def _det3(p: PlanePoint, q: PlanePoint, r: PlanePoint) -> FFElem:
-    c = _cross(p, q)
-    return sum((ci * ri for ci, ri in zip(c, r.coords)), zero(p.spec))
-
-
 def general_position(points) -> bool:
-    """No three of the points are collinear (needs at least three points)."""
+    """No three of the points are collinear (needs at least three points).
+
+    On packed ints: the cross product of each pair is formed once and dotted
+    with every later point, so all C(n, 3) determinants are tested.
+    """
     pts = list(points)
     if len(pts) < 3:
         raise ValueError("general position needs at least three points")
-    return all(
-        bool(_det3(p, q, r)) for p, q, r in itertools.combinations(pts, 3)
-    )
+    spec = pts[0].spec
+    if any(p.spec is not spec and p.spec != spec for p in pts):
+        raise ValueError("elements of different fields")
+    r, g = spec._r, spec._g
+    vs = [tuple(c._v for c in p.coords) for p in pts]
+    for i, (a0, a1, a2) in enumerate(vs):
+        for j in range(i + 1, len(vs) - 1):
+            b0, b1, b2 = vs[j]
+            c0 = r.sub(r.mul(a1, b2, g), r.mul(a2, b1, g))
+            c1 = r.sub(r.mul(a2, b0, g), r.mul(a0, b2, g))
+            c2 = r.sub(r.mul(a0, b1, g), r.mul(a1, b0, g))
+            for k0, k1, k2 in vs[j + 1:]:
+                if not r.add(r.add(r.mul(c0, k0, g), r.mul(c1, k1, g)), r.mul(c2, k2, g)):
+                    return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -127,9 +136,10 @@ class PointConfig:
     on_conic: bool = False
 
     def __post_init__(self):
-        if any(p.spec != self.spec for p in self.points):
+        spec = self.spec
+        if any(p.spec is not spec and p.spec != spec for p in self.points):
             raise ValueError("mismatched point fields")
-        if len(set(self.points)) != len(self.points):
+        if len({p.coords for p in self.points}) != len(self.points):
             raise ValueError("points must be pairwise distinct")
         if self.on_conic and not all(p.on_conic() for p in self.points):
             raise ValueError("point off the marked conic")
@@ -156,15 +166,16 @@ def conic_config(betas) -> PointConfig:
 
 
 def frobenius_permutation(config: PointConfig) -> Perm:
-    """The permutation i -> j with frobenius(P_i) = P_j (1-indexed)."""
-    where = {p: i for i, p in enumerate(config.points, start=1)}
-    images = []
-    for p in config.points:
-        q = p.apply_frobenius()
-        if q not in where:
-            raise ValueError("configuration not defined over the base field")
-        images.append(where[q])
-    return Perm(tuple(i - 1 for i in images))
+    """The permutation i -> j with frobenius(P_i) = P_j (1-indexed).
+
+    Points are looked up by their coordinates, which ``PointConfig`` keeps in
+    one field.
+    """
+    where = {p.coords: i for i, p in enumerate(config.points)}
+    images = tuple(where.get(p.apply_frobenius().coords) for p in config.points)
+    if None in images:
+        raise ValueError("configuration not defined over the base field")
+    return Perm(images)
 
 
 # --- the inductive equivariant point-set algorithm ---------------------------

@@ -509,8 +509,8 @@ def _frob_cols(spec: FieldSpec, power: int) -> list[int]:
 
 
 def _frob(spec: FieldSpec, v: int, power: int) -> int:
-    power %= spec.n
-    return spec._r.combine(_frob_cols(spec, power), v) if power else v
+    power %= spec.n  # below p, v is a constant of F_p, which Frobenius fixes
+    return spec._r.combine(_frob_cols(spec, power), v) if power and v >= spec.p else v
 
 
 def frobenius(x: FFElem, power: int = 1) -> FFElem:

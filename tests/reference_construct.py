@@ -1,0 +1,29 @@
+"""Schoolbook oracles for the projective-point checks of ``delpezzo.construct``.
+
+``construct.general_position`` works on packed ints and shares each pair's
+cross product among the triples through that pair; here every triple gets its
+own determinant, built from ``FFElem`` arithmetic, and nothing is shared.
+"""
+
+import itertools
+
+from delpezzo.fields import zero
+
+
+def cross(a, b):
+    """The cross product of two plane points: the line through them."""
+    (a0, a1, a2), (b0, b1, b2) = a.coords, b.coords
+    return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+
+
+def det3(p, q, r):
+    """det[p; q; r], zero exactly when the three points are collinear."""
+    return sum((ci * ri for ci, ri in zip(cross(p, q), r.coords)), zero(p.spec))
+
+
+def general_position(points):
+    """No three of the points are collinear: one determinant per triple."""
+    pts = list(points)
+    if len(pts) < 3:
+        raise ValueError("general position needs at least three points")
+    return all(bool(det3(p, q, r)) for p, q, r in itertools.combinations(pts, 3))

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_construct import cross, general_position as reference_general_position
 
 import delpezzo
 from delpezzo.construct import (
@@ -29,13 +30,13 @@ from delpezzo.construct import (
     small_field_realize,
     verify_json,
     _base_plane_points,
-    _cross,
     _normalized,
     _points_with_action_stats,
 )
 from delpezzo.curvegraphs import curve_graph, graph_action
 from delpezzo.fields import (
     MAX_BASE_FIELD,
+    FieldSpec,
     FFElem,
     element_degree,
     elements_of_degree,
@@ -114,6 +115,90 @@ class TestGeneralPosition:
         pts = [PlanePoint(work, (o, w, z)), PlanePoint(work, (o, wb, z)),
                PlanePoint(work, (o, z, w)), PlanePoint(work, (o, z, wb))]
         assert general_position(pts)
+
+
+# --- the packed point checks against the FFElem oracle (derandomized) ---------
+
+_POINT_FIELDS = ["2", "7", "2^5", "3^3", "65521^2"]
+
+
+def _draw_coord(spec, data):
+    """Often 0 or 1, so points at infinity and scaled points come up in every field."""
+    coeffs = data.draw(st.one_of(
+        st.sampled_from([[], [1]]),
+        st.lists(st.integers(0, spec.p - 1), min_size=spec.m, max_size=spec.m),
+    ))
+    return FFElem(spec, coeffs)
+
+
+def _draw_point(spec, data):
+    coords = tuple(_draw_coord(spec, data) for _ in range(3))
+    return PlanePoint(spec, coords if any(coords) else (one(spec),) + coords[1:])
+
+
+def _on_line_through(p, q, a, b):
+    """The point a*p + b*q, or p again when that is the zero vector."""
+    coords = tuple(a * x + b * y for x, y in zip(p.coords, q.coords))
+    return PlanePoint(p.spec, coords) if any(coords) else p
+
+
+class TestPackedPointChecks:
+    @pytest.mark.parametrize("literal", _POINT_FIELDS)
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_general_position_matches_the_oracle(self, literal, data):
+        spec = parse_field_literal(literal)
+        n = data.draw(st.integers(3, 6))
+        pts = [_draw_point(spec, data) for _ in range(n)]
+        planted = data.draw(st.one_of(st.none(), st.sampled_from(list(itertools.combinations(range(n), 3)))))
+        if planted is not None:
+            i, j, k = planted
+            a, b = (_draw_coord(spec, data) or one(spec) for _ in range(2))
+            pts[k] = _on_line_through(pts[i], pts[j], a, b)
+        assert general_position(pts) == reference_general_position(pts)
+        if planted is not None:
+            assert not general_position(pts)
+
+    def test_only_the_last_triple_collinear(self):
+        spec = parse_field_literal("65521")
+        pts = [conic_point(spec, FFElem(spec, (t,))) for t in range(1, 6)]
+        pts.append(_on_line_through(pts[3], pts[4], one(spec), one(spec)))
+        collinear = [t for t in itertools.combinations(range(6), 3)
+                     if not reference_general_position([pts[i] for i in t])]
+        assert collinear == [(3, 4, 5)]
+        assert general_position(pts[:5]) and not general_position(pts)
+
+    def test_mixed_fields_raise(self):
+        f3_line = [plane_point(F3, 1, 0, 0), plane_point(F3, 0, 1, 0), plane_point(F3, 1, 1, 0)]
+        for pts in ([plane_point(F7, 1, 2, 3)] + f3_line, f3_line + [plane_point(F7, 1, 2, 3)]):
+            with pytest.raises(ValueError, match="different fields"):
+                general_position(pts)
+
+    def test_equal_specs_that_are_not_identical(self):
+        twin = FieldSpec(F7.p, F7.m, F7.modulus, F7.base_degree)
+        assert twin == F7 and twin is not F7
+        pts = (plane_point(F7, 1, 0, 0), plane_point(twin, 0, 1, 0),
+               plane_point(F7, 0, 0, 1), plane_point(twin, 1, 2, 3))
+        assert general_position(pts) == reference_general_position(pts) is True
+        config = PointConfig(F7, pts)
+        assert frobenius_permutation(config).cycle_string() == "()"
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            PointConfig(F7, pts + (plane_point(twin, 2, 4, 6),))
+
+    @pytest.mark.parametrize("literal", _POINT_FIELDS)
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_normalized_skips_only_the_inverse_of_one(self, literal, data):
+        spec = parse_field_literal(literal)
+        coords = tuple(_draw_coord(spec, data) for _ in range(3))
+        lead = next((c for c in coords if c), None)
+        if lead is None:
+            with pytest.raises(ValueError, match="no nonzero coordinate"):
+                _normalized(coords)
+        elif lead == one(spec):
+            assert _normalized(coords) is coords
+        else:
+            assert _normalized(coords) == tuple(c * lead.inverse() for c in coords)
 
 
 class TestFrobeniusPermutation:
@@ -328,7 +413,7 @@ class TestFourPointModels:
             b = next(elements_of_degree(work, 3))
             triple = [conic_point(work, b), conic_point(work, frobenius(b)),
                       conic_point(work, frobenius(b, 2))]
-            lines = [_normalized(_cross(p, q))
+            lines = [_normalized(cross(p, q))
                      for p, q in itertools.combinations(triple, 2)]
             for point in _base_plane_points(work):
                 for line in lines:
@@ -587,11 +672,11 @@ def _ten_class_action(config):
     image = {frozenset({i, 5}): frozenset({where[q], 5})
              for i, q in enumerate(moved, start=1)}
     line_label = {
-        _normalized(_cross(pts[i - 1], pts[j - 1])): frozenset({1, 2, 3, 4} - {i, j})
+        _normalized(cross(pts[i - 1], pts[j - 1])): frozenset({1, 2, 3, 4} - {i, j})
         for i, j in itertools.combinations(range(1, 5), 2)
     }
     for i, j in itertools.combinations(range(1, 5), 2):
-        line = _normalized(_cross(moved[i - 1], moved[j - 1]))
+        line = _normalized(cross(moved[i - 1], moved[j - 1]))
         image[frozenset({1, 2, 3, 4} - {i, j})] = line_label[line]
     graph = curve_graph(5)
     return Perm(tuple(graph.index(image[v]) - 1 for v in graph.vertices))

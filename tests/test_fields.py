@@ -216,6 +216,18 @@ class TestFrobenius:
         assert frobenius(x, spec.n) == x
         assert frobenius(x, 2) == frobenius(frobenius(x))
 
+    @pytest.mark.parametrize("field", [(2, 1, 6), (2, 40, 6), (3, 3, 2), (7, 1, 6),
+                                       (65521, 1, 2), (65521, 2, 6)])
+    def test_prime_field_constants_are_fixed(self, field):
+        # Frobenius fixes F_p, so a packed constant comes back unchanged; x,
+        # the next element up when p = 2, still moves
+        spec = make_field(*field)
+        for c in range(spec.p):
+            x = from_int(spec, c)
+            assert all(frobenius(x, k) == x for k in range(1, spec.n))
+        x = gen(spec)
+        assert [frobenius(x, k) for k in range(spec.n + 1)] == [x ** spec.q ** k for k in range(spec.n + 1)]
+
     def test_base_field_marking_changes_frobenius(self):
         over_f2 = make_field(2, 1, 4)
         over_f4 = make_field(2, 2, 2)

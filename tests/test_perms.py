@@ -239,6 +239,14 @@ class TestSubgroupLattice:
         # 1 + 10 + 15 + 10 + 15 + 6 + 10 of orders 1,2,2,3,4,5,6
         assert sum(s.is_cyclic for s in P.all_subgroups(5)) == 67
 
+    def test_iteration_and_membership(self):
+        group = P.class_representative("[D4]", 5)
+        assert list(group) == list(group.elements)
+        assert all(g in group for g in group.elements)
+        outside = [g for g in P.symmetric_group_elements(5) if g not in group.elements]
+        assert len(outside) == 120 - group.order
+        assert not any(g in group for g in outside)
+
     def test_ga15_label(self):
         g = P.generate(P.parse_generators("(1 2 3 4 5);(2 3 5 4)", 5))
         assert g.order == 20
