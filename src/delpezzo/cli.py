@@ -2,7 +2,8 @@
 
 Every command is deterministic given its flags and writes to stdout.  Exit
 codes: 0 on success, 1 on domain errors (with a machine-readable error
-JSON), 2 on usage errors.
+JSON), 2 on usage errors.  Each handler imports the package modules it
+runs, so a cold call loads (and, without a bytecode cache, compiles) only those.
 """
 
 from __future__ import annotations
@@ -11,19 +12,7 @@ import argparse
 import json
 import re
 import sys
-from functools import lru_cache
-
-from .classify import aut_table
-from .construct import realize_dp5, realize_dp6, verify_json
-from .curvegraphs import blowdown_action, curve_graph, to_dot
-from .fields import _MAX_DIGITS, parse_field_literal
-from .perms import (
-    class_names,
-    class_representative,
-    generate,
-    parse_generators,
-)
-from .picard import invariant_rank, is_g_minimal
+from functools import lru_cache, partial
 
 
 @lru_cache(maxsize=None)
@@ -94,6 +83,8 @@ def _generator_list(group) -> str:
 
 
 def _cmd_classes(args) -> int:
+    from .perms import class_names, class_representative
+
     entries = []
     for name in class_names(args.degree):
         rep = class_representative(name, args.degree)
@@ -115,6 +106,8 @@ def _cmd_classes(args) -> int:
 
 
 def _cmd_aut_table(args) -> int:
+    from .classify import aut_table
+
     rows = aut_table()
     if args.json:
         print(json.dumps([
@@ -135,6 +128,9 @@ def _cmd_aut_table(args) -> int:
 
 
 def _cmd_graph(args) -> int:
+    from .curvegraphs import curve_graph, to_dot
+    from .perms import generate, parse_generators
+
     graph = curve_graph(args.degree)
     orbit_group = None
     if args.orbits:
@@ -151,6 +147,9 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_realize(args) -> int:
+    from .construct import realize_dp5, realize_dp6
+    from .fields import parse_field_literal
+
     base = parse_field_literal(args.field)
     model = realize_dp5(base, args.label) if args.degree == 5 else \
         realize_dp6(base, args.label)
@@ -183,10 +182,10 @@ class _NumberTooLong(ValueError):
     pass
 
 
-def _bounded_int(text: str) -> int:
+def _bounded_int(max_digits: int, text: str) -> int:
     """json's parse_int hook: refuse what int() would refuse, with our own message."""
-    if len(text.lstrip("-")) > _MAX_DIGITS:
-        raise _NumberTooLong(f"a number in the model JSON has more than {_MAX_DIGITS} digits")
+    if len(text.lstrip("-")) > max_digits:
+        raise _NumberTooLong(f"a number in the model JSON has more than {max_digits} digits")
     return int(text)
 
 
@@ -203,6 +202,9 @@ def _clip(text: str) -> str:
 
 
 def _cmd_verify(args) -> int:
+    from .construct import verify_json
+    from .fields import _MAX_DIGITS
+
     if args.input == "-":
         text = sys.stdin.read(_MAX_MODEL_CHARS + 1)
     else:
@@ -211,7 +213,7 @@ def _cmd_verify(args) -> int:
     if len(text) > _MAX_MODEL_CHARS:
         raise ValueError(f"model JSON is longer than {_MAX_MODEL_CHARS} characters")
     try:
-        data = json.loads(text, parse_int=_bounded_int)
+        data = json.loads(text, parse_int=partial(_bounded_int, _MAX_DIGITS))
     except RecursionError:
         raise ValueError("model JSON is nested too deeply") from None
     except _NumberTooLong as err:
@@ -225,6 +227,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_minimal(args) -> int:
+    from .perms import generate, parse_generators
+    from .picard import invariant_rank, is_g_minimal
+
     group = generate(parse_generators(args.group, 5), degree=5)
     image = generate(parse_generators(args.galois, 5), degree=5)
     minimal = is_g_minimal(group, image)
@@ -249,6 +254,9 @@ _VERTEX_RE = re.compile(r"(\{)?\s*([0-9])\s*,\s*([0-9])\s*(?(1)\})", re.ASCII)
 
 
 def _cmd_blowdown(args) -> int:
+    from .curvegraphs import blowdown_action
+    from .perms import generate, parse_generators
+
     match = _VERTEX_RE.fullmatch(args.vertex)
     if not match:
         raise ValueError(f"cannot parse vertex {args.vertex!r}; expected {{i,j}}")

@@ -720,3 +720,48 @@ class TestParserReuse:
                 code, _ = run(*argv)
             assert code in (0, 1, 2), argv
         assert run("classes", "--degree", "6", "--json") == before
+
+
+# The package modules each command loads, besides delpezzo and delpezzo.cli:
+# a cold call imports (and, without a bytecode cache, compiles) only these.
+_MODULES_LOADED = [
+    (["frobnicate"], set()),
+    (["--help"], set()),
+    (["classes", "--degree", "5"], {"perms"}),
+    (["graph", "--degree", "6", "--orbits", "(1 2)"], {"curvegraphs", "perms"}),
+    (["blowdown", "--subgroup", "(1 2)", "--vertex", "{4,5}"], {"curvegraphs", "perms"}),
+    (["minimal", "--group", "(1 2 3)", "--galois", "(4 5)"], {"perms", "picard"}),
+    (["aut-table"], {"classify", "perms"}),
+    (["realize", "--field", "7", "--type", "[Z/5Z]"],
+     {"construct", "curvegraphs", "fields", "perms"}),
+    (["verify", "--input", _MODEL], {"construct", "curvegraphs", "fields", "perms"}),
+    (["check-paper"], {"classify", "construct", "curvegraphs", "fields", "perms", "picard",
+                       "selfcheck"}),
+]
+_LOADED_SCRIPT = (
+    "import sys\n"
+    "{call}\n"
+    "print(' '.join(sorted(m for m in sys.modules\n"
+    "                      if m == 'delpezzo' or m.startswith('delpezzo.'))))\n"
+)
+
+
+def _loaded_after(call, *argv):
+    """The delpezzo modules a fresh interpreter holds after running ``call``."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", _LOADED_SCRIPT.format(call=call), *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+class TestColdImports:
+    def test_bare_import_loads_no_submodule(self):
+        assert _loaded_after("import delpezzo") == {"delpezzo"}
+
+    @pytest.mark.parametrize("argv,modules", _MODULES_LOADED,
+                             ids=[argv[0] for argv, _ in _MODULES_LOADED])
+    def test_command_loads_only_the_modules_it_runs(self, model_file, argv, modules):
+        argv = [model_file if t == _MODEL else t for t in argv]
+        loaded = _loaded_after("from delpezzo import cli\ncli.main(sys.argv[1:])", *argv)
+        assert loaded == {"delpezzo", "delpezzo.cli"} | {f"delpezzo.{m}" for m in modules}

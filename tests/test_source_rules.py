@@ -1,9 +1,15 @@
 """Rules on the package source itself."""
 
 import ast
+import importlib
+import os
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
+
+import pytest
 
 import delpezzo
 from delpezzo import construct, perms
@@ -59,16 +65,51 @@ def test_the_regex_rule_sees_a_unicode_class():
     assert list(_unicode_regex_calls('re.compile(r"\\\\s")')) == []  # an escaped backslash
 
 
-def test_all_names_every_public_binding_once():
-    # __init__.py writes each public name twice, in an import list and in
-    # __all__; this keeps the two lists from drifting apart
+def test_export_table_names_each_public_object_once():
+    # __init__.py binds a public name only on first access, from the
+    # submodule its _EXPORTS table names; a name listed twice or under the
+    # wrong submodule would resolve to the wrong object or not at all
+    listed = [name for names in delpezzo._EXPORTS.values() for name in names]
+    assert len(listed) == len(set(listed))
+    assert sorted(listed) == delpezzo.__all__
+    for module, names in delpezzo._EXPORTS.items():
+        submodule = importlib.import_module(f"delpezzo.{module}")
+        for name in names:
+            assert getattr(delpezzo, name) is vars(submodule)[name], name
     public = {
         name
         for name, value in vars(delpezzo).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
-    assert len(delpezzo.__all__) == len(set(delpezzo.__all__))
-    assert set(delpezzo.__all__) == public
+    assert public == set(delpezzo.__all__)
+
+
+def test_dir_lists_every_public_name():
+    assert set(delpezzo.__all__) <= set(dir(delpezzo))
+
+
+def test_unknown_names_are_attribute_and_import_errors():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        delpezzo.no_such_name
+    with pytest.raises(ImportError, match="no_such_name"):
+        exec("from delpezzo import no_such_name", {})
+
+
+def test_submodules_resolve_after_a_bare_import():
+    # a fresh interpreter, so no earlier import has bound the submodules yet
+    script = (
+        "import sys\n"
+        "import delpezzo\n"
+        f"for name in {sorted(delpezzo._EXPORTS)!r}:\n"
+        "    module = getattr(delpezzo, name)\n"
+        "    print(module.__name__, module is sys.modules[module.__name__])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        f"delpezzo.{name} True" for name in sorted(delpezzo._EXPORTS)]
 
 
 def test_star_import_binds_exactly_all():
