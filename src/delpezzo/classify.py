@@ -48,14 +48,16 @@ class FieldCapability:
 def _prime_power(q) -> tuple[int, int] | None:
     if not isinstance(q, int) or q < 2:
         return None
-    for p in range(2, q + 1):
-        if q % p == 0:
-            e = 0
-            while q % p == 0:
-                q //= p
-                e += 1
-            return (p, e) if q == 1 else None
-    return None
+    p = 2
+    while p * p <= q and q % p:
+        p += 1
+    if p * p > q:
+        p = q  # no divisor up to the square root: q is prime
+    e = 0
+    while q % p == 0:
+        q //= p
+        e += 1
+    return (p, e) if q == 1 else None
 
 
 def finite(q: int) -> FieldCapability:

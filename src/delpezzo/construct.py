@@ -258,6 +258,8 @@ class SurfaceModel:
             raise ValueError(f"unknown construction tag {self.construction!r}")
         if (self.blowdown_vertex is not None) != (self.degree == 6):
             raise ValueError("blow-down vertex is for degree-6 models only")
+        if self.construction.endswith("_blowdown") != (self.degree == 6):
+            raise ValueError(f"construction tag {self.construction!r} does not match degree {self.degree}")
 
     def galois_image(self) -> Subgroup:
         """The image of Frobenius in S5, read from the stored point permutation."""

@@ -531,71 +531,33 @@ def class_representative(label: ClassLabel | str, degree_context: int | None = N
 # --- subgroup lattice of the ambient group ----------------------------------
 #
 # Only all_subgroups enumerates.  Elements are indices into the sorted ambient
-# element list, subgroups are bitmasks over those indices, and a closure walks
-# a multiplication table.  The lattice and its Subgroups are cached per ambient
-# group, and each Subgroup (the ambient group too, for the conjugation tables)
-# takes its generators from _reduced_generators.
+# element list, subgroups are bitmasks over those indices, and conjugation by
+# each ambient generator is an index table.  The lattice and its Subgroups are
+# cached per ambient group; every generating set comes from _reduced_generators.
 #
-# Every subgroup of S5 and of the hexagon group is generated by two elements,
-# hence is the join of two cyclic subgroups <a> and <b>.  Conjugating by a g
-# with g<a>g^-1 = <r>, r the chosen representative of the class of <a>, turns
-# it into the join of <r> with the cyclic <gbg^-1>.  So the joins of one
-# representative per conjugacy class of cyclic subgroups (7 in S5) with every
-# cyclic subgroup (67 in S5) meet every class of subgroups, and closing them
-# under conjugation by the ambient generators, through an index table, gives
-# every subgroup (156 in degree 5, 16 in degree 6).  The cyclic classes come
-# from that same conjugation, not from the pinned table, so completeness rests
-# on 2-generation alone and "do not cover every class" can still fire.
-# tests/test_perms.py::TestSubgroupLattice pins the counts, tests/
-# reference_perms.py recomputes the masks from the closures of all pairs of
-# elements, and selfcheck.check_class_census re-derives the census.
+# The lattice is the closure of the pinned representatives under conjugation,
+# and it holds every subgroup:
+# 1. _pinned_classes rejects two conjugate representatives;
+# 2. their conjugates number 156 in degree 5 and 16 in degree 6, which
+#    selfcheck.check_class_census pins, and distinct classes that add up to
+#    the whole count cover every class;
+# 3. tests/reference_perms.py::subgroups_by_pairs recomputes the masks by
+#    brute force.
 
 class _Lattice:
     def __init__(self, degree_context: int):
-        if degree_context == 5:
-            elems = symmetric_group_elements(5)
-        elif degree_context == 6:
-            elems = hexagon_group_elements()
-        else:
-            raise ValueError("unsupported degree")
+        reps = _pinned_classes(degree_context)[0].values()  # ValueError for other degrees
+        elems = symmetric_group_elements(5) if degree_context == 5 else hexagon_group_elements()
         self.elems = elems
-        index = {g.images: i for i, g in enumerate(elems)}
-        self.mul = [
-            [index[tuple([a.images[j] for j in b.images])] for b in elems] for a in elems
-        ]
-        inverse = [row.index(0) for row in self.mul]
+        index = {g: i for i, g in enumerate(elems)}
         self.conj = [
-            [self.mul[self.mul[g][i]][inverse[g]] for i in range(len(elems))]
-            for g in (index[h.images] for h in _reduced_generators(elems, degree_context))
+            [index[g * h * g.inverse()] for h in elems]
+            for g in _reduced_generators(elems, degree_context)
         ]
-        cyclic = {self._closure_mask((i,)): i for i in range(len(elems))}
-        reps: list[int] = []
-        covered: set[int] = set()
-        for mask, i in cyclic.items():
-            if mask not in covered:
-                reps.append(i)
-                covered |= self._conjugates((mask,))
-        joins = {self._closure_mask((r, i)) for r in reps for i in cyclic.values()}
+        masks = self._conjugates(sum(1 << index[g] for g in rep.elements) for rep in reps)
         self.masks = tuple(
-            sorted(self._conjugates(joins), key=lambda m: (m.bit_count(), self._mask_indices(m)))
+            sorted(masks, key=lambda m: (m.bit_count(), self._mask_indices(m)))
         )
-        names = _pinned_classes(degree_context)[1]
-        if any(
-            _census((elems[i] for i in self._mask_indices(m)), degree_context) not in names
-            for m in self.masks
-        ):
-            raise RuntimeError("pinned representatives do not cover every class")
-
-    def _closure_mask(self, gen_idxs: Sequence[int]) -> int:
-        seen, found = 1, [0]
-        for a in found:  # grows while it is walked
-            row = self.mul[a]
-            for g in gen_idxs:
-                c = row[g]
-                if not seen >> c & 1:
-                    seen |= 1 << c
-                    found.append(c)
-        return seen
 
     def _conjugates(self, masks: Iterable[int]) -> set[int]:
         """The given masks closed under conjugation by the ambient group."""

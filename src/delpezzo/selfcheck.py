@@ -290,11 +290,7 @@ def check_invariant_vertices() -> tuple[bool, str]:
                           f"{sub.generators}"
     maximal_labels = set()
     for sub in order5_free:
-        elems = set(sub.elements)
-        if any(
-            other.order > sub.order and elems <= set(other.elements)
-            for other in order5_free
-        ):
+        if any(other.order > sub.order and sub <= other for other in order5_free):
             continue
         maximal_labels.add(class_label(sub, 5).name)
     if maximal_labels != {"[S3xZ/2Z]", "[S4]"}:

@@ -47,7 +47,7 @@ def smallest_conjugate_labeller(ambient, named_representatives):
 # --- oracles for the subgroup lattice, centralizers and element orders -------
 #
 # These work on raw 0-indexed image tuples and share no code with
-# delpezzo.perms: no multiplication table, no bitmask, no conjugation.
+# delpezzo.perms: no pinned representative, no bitmask, no conjugation.
 
 
 def _closure(gens, degree):

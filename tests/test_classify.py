@@ -1,5 +1,7 @@
 """Automorphism table, realizability predicates, minimal existence."""
 
+import time
+
 import pytest
 
 from delpezzo.classify import (
@@ -106,10 +108,32 @@ class TestAutTable:
 
 class TestCapabilities:
     def test_finite_needs_prime_power(self):
-        finite(2), finite(9), finite(16), finite(27)
-        for bad in (1, 6, 10, 12, 0, -5):
+        for q in (2, 9, 16, 27, 2**40, 3**25, 65521**2, 100000007):
+            assert finite(q).q == q
+        for bad in (1, 6, 10, 12, 0, -5, 10007 * 10009, 2**40 * 3):
             with pytest.raises(ValueError):
                 finite(bad)
+
+    def test_finite_of_a_large_prime_is_quick(self):
+        # trial division stops at the square root (10^4 steps here); a scan
+        # up to q itself took seconds
+        start = time.perf_counter()
+        assert finite(100000007).q == 100000007
+        assert time.perf_counter() - start < 1.0
+
+    def test_prime_power_test_matches_the_factor_count(self):
+        def prime_factors(n):
+            return {d for d in range(2, n + 1)
+                    if n % d == 0 and all(d % k for k in range(2, d))}
+
+        for q in range(2, 2000):
+            is_power = len(prime_factors(q)) == 1
+            try:
+                finite(q)
+            except ValueError:
+                assert not is_power, q
+            else:
+                assert is_power, q
 
     def test_kind_validation(self):
         with pytest.raises(ValueError):

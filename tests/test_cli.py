@@ -646,15 +646,9 @@ class TestTopLevel:
         assert run("--help")[0] == 0
 
     def test_module_entry_point(self):
-        import subprocess
-        import sys
-
-        proc = subprocess.run(
-            [sys.executable, "-m", "delpezzo", "classes", "--degree", "6"],
-            capture_output=True, text=True,
-        )
-        assert proc.returncode == 0
-        assert "[S3xZ/2]" in proc.stdout
+        code, out = run_bounded("classes", "--degree", "6")
+        assert code == 0
+        assert "[S3xZ/2]" in out
 
 
 # The parser's own vocabulary: each command's options, with values drawn from

@@ -656,6 +656,18 @@ class TestStrictJson:
         [(name, ok, detail)] = verify_json(data)
         assert name == "model parses" and not ok and "increasing integers" in detail
 
+    # realize tags a degree-6 model with the degree-5 tag plus "_blowdown"
+    @pytest.mark.parametrize("degree, tag", [
+        (6, "conic5"), (6, "fourpoints"), (5, "conic5_blowdown"), (5, "fourpoints_blowdown"),
+    ])
+    def test_construction_tag_must_match_degree(self, degree, tag):
+        model = realize_dp6(F7, "[Z/3]") if degree == 6 else realize_dp5(F7, "[Z/4Z]")
+        data = model.to_json()
+        data["construction"] = tag
+        [(name, ok, detail)] = verify_json(data)
+        assert name == "model parses" and not ok
+        assert detail == f"construction tag {tag!r} does not match degree {degree}"
+
 
 # --- an oracle for the Galois image of four-point models ---------------------
 #

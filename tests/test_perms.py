@@ -10,6 +10,7 @@ from reference_perms import (
 )
 
 from delpezzo import perms as P
+from delpezzo import selfcheck
 from delpezzo.perms import ClassLabel, Perm, Subgroup
 
 
@@ -272,11 +273,15 @@ class TestSubgroupLattice:
 
     @pytest.fixture
     def fresh_pinned_table(self):
-        # the pinned table is cached per ambient group; rebuild it from the
-        # patched generators, and drop that build again afterwards
-        P._pinned_classes.cache_clear()
+        # the pinned table and the lattice read off it are cached per ambient
+        # group; rebuild them from the patched generators, and drop that
+        # build again afterwards
+        caches = (P._pinned_classes, P._lattice, P.all_subgroups)
+        for cached in caches:
+            cached.cache_clear()
         yield
-        P._pinned_classes.cache_clear()
+        for cached in caches:
+            cached.cache_clear()
 
     def test_conjugate_pinned_representatives_rejected(self, monkeypatch, fresh_pinned_table):
         reps = P._REP_GENS_6 + (("[dup]", (("(2 3)", 0),)),)
@@ -285,9 +290,14 @@ class TestSubgroupLattice:
             P._Lattice(6)
 
     def test_pinned_representatives_must_cover_every_class(self, monkeypatch, fresh_pinned_table):
+        # the lattice is the conjugates of the pinned classes, so a class left
+        # out of the table is left out of the lattice too; the pinned subgroup
+        # count in check-paper's class census is what catches it
         monkeypatch.setattr(P, "_REP_GENS_6", P._REP_GENS_6[:-1])
-        with pytest.raises(RuntimeError, match="do not cover every class"):
-            P._Lattice(6)
+        ok, detail = selfcheck.check_class_census()
+        assert not ok
+        assert "census mismatch" in detail
+        assert "15 subgroups" in detail
 
 
 _AMBIENTS = [(5, P.symmetric_group_elements(5)), (6, P.hexagon_group_elements())]
@@ -296,8 +306,8 @@ _AMBIENTS = [(5, P.symmetric_group_elements(5)), (6, P.hexagon_group_elements())
 class TestLatticeOracles:
     @pytest.mark.parametrize("degree, ambient", _AMBIENTS)
     def test_masks_are_the_closures_of_all_pairs(self, degree, ambient):
-        # the conjugacy-reduced joins find exactly the subgroups generated by
-        # two elements, i.e. every subgroup
+        # the conjugates of the pinned representatives are exactly the
+        # subgroups generated by two elements, i.e. every subgroup
         lat = P._lattice(degree)
         found = {
             frozenset(g.images for i, g in enumerate(lat.elems) if mask >> i & 1)
