@@ -41,8 +41,13 @@ class FieldCapability:
     def __post_init__(self):
         if self.kind not in ("finite", "number_field", "custom"):
             raise ValueError(f"unknown capability kind {self.kind!r}")
-        if self.kind == "finite" and _prime_power(self.q) is None:
-            raise ValueError("finite capability needs a prime-power q")
+        if self.kind == "finite":
+            from .fields import MAX_BASE_FIELD  # here, so that aut-table does not load fields
+
+            if isinstance(self.q, int) and self.q > MAX_BASE_FIELD:
+                raise ValueError("finite capability needs q at most 2^40")
+            if _prime_power(self.q) is None:
+                raise ValueError("finite capability needs a prime-power q")
 
 
 def _prime_power(q) -> tuple[int, int] | None:

@@ -135,6 +135,8 @@ def _cmd_graph(args) -> int:
     orbit_group = None
     if args.orbits:
         orbit_group = generate(parse_generators(args.orbits, 5), degree=5)
+        if not args.dot:
+            raise ValueError("orbit coloring (--orbits) needs --dot")
     if args.dot:
         print(to_dot(graph, orbit_group))
     else:

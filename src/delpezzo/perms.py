@@ -530,10 +530,10 @@ def class_representative(label: ClassLabel | str, degree_context: int | None = N
 
 # --- subgroup lattice of the ambient group ----------------------------------
 #
-# Only all_subgroups enumerates.  Elements are indices into the sorted ambient
-# element list, subgroups are bitmasks over those indices, and conjugation by
-# each ambient generator is an index table.  The lattice and its Subgroups are
-# cached per ambient group; every generating set comes from _reduced_generators.
+# Only all_subgroups enumerates, and caches the lattice per ambient group.  A
+# subgroup is closed as its set of elements under one conjugation table per
+# ambient generator, sorted by order and then by canonically sorted elements,
+# and named by _reduced_generators.
 #
 # The lattice is the closure of the pinned representatives under conjugation,
 # and it holds every subgroup:
@@ -541,56 +541,31 @@ def class_representative(label: ClassLabel | str, degree_context: int | None = N
 # 2. their conjugates number 156 in degree 5 and 16 in degree 6, which
 #    selfcheck.check_class_census pins, and distinct classes that add up to
 #    the whole count cover every class;
-# 3. tests/reference_perms.py::subgroups_by_pairs recomputes the masks by
-#    brute force.
+# 3. tests/reference_perms.py::subgroups_by_pairs recomputes them by brute force.
 
 class _Lattice:
     def __init__(self, degree_context: int):
         reps = _pinned_classes(degree_context)[0].values()  # ValueError for other degrees
-        elems = symmetric_group_elements(5) if degree_context == 5 else hexagon_group_elements()
-        self.elems = elems
-        index = {g: i for i, g in enumerate(elems)}
-        self.conj = [
-            [index[g * h * g.inverse()] for h in elems]
-            for g in _reduced_generators(elems, degree_context)
+        ambient = symmetric_group_elements(5) if degree_context == 5 else hexagon_group_elements()
+        tables = [
+            {h: g * h * g.inverse() for h in ambient}
+            for g in _reduced_generators(ambient, degree_context)
         ]
-        masks = self._conjugates(sum(1 << index[g] for g in rep.elements) for rep in reps)
-        self.masks = tuple(
-            sorted(masks, key=lambda m: (m.bit_count(), self._mask_indices(m)))
-        )
-
-    def _conjugates(self, masks: Iterable[int]) -> set[int]:
-        """The given masks closed under conjugation by the ambient group."""
-        out = set(masks)
-        found = list(out)
-        for mask in found:  # grows while it is walked
-            idxs = self._mask_indices(mask)
-            for table in self.conj:
-                c = 0
-                for i in idxs:
-                    c |= 1 << table[i]
-                if c not in out:
-                    out.add(c)
+        found = [frozenset(rep.elements) for rep in reps]
+        seen = set(found)
+        for elements in found:  # grows while it is walked
+            for table in tables:
+                c = frozenset(table[h] for h in elements)
+                if c not in seen:
+                    seen.add(c)
                     found.append(c)
-        return out
-
-    @staticmethod
-    def _mask_indices(mask: int) -> tuple[int, ...]:
-        return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
-
-    def subgroup_from_mask(self, mask: int) -> Subgroup:
-        elems = [self.elems[i] for i in self._mask_indices(mask)]
-        degree = elems[0].degree
-        return Subgroup(degree, _reduced_generators(elems, degree), elems)
-
-
-@lru_cache(maxsize=None)
-def _lattice(degree_context: int) -> _Lattice:
-    return _Lattice(degree_context)
+        self.subgroups = tuple(
+            Subgroup(degree_context, _reduced_generators(s, degree_context), s)
+            for s in sorted(found, key=lambda s: (len(s), sorted(s)))
+        )
 
 
 @lru_cache(maxsize=None)
 def all_subgroups(degree_context: int) -> tuple[Subgroup, ...]:
     """Every subgroup of the ambient group (156 for degree 5, 16 for degree 6)."""
-    lat = _lattice(degree_context)
-    return tuple(lat.subgroup_from_mask(m) for m in lat.masks)
+    return _Lattice(degree_context).subgroups

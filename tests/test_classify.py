@@ -121,6 +121,18 @@ class TestCapabilities:
         assert finite(100000007).q == 100000007
         assert time.perf_counter() - start < 1.0
 
+    def test_finite_refuses_q_above_the_base_field_ceiling_quickly(self):
+        # trial division to the square root of 2^61 - 1 ran for seconds; q
+        # above 2^40, the ceiling field literals have, is refused before it
+        start = time.perf_counter()
+        for q in (2**61 - 1, 2**64, 2**40 + 15):
+            with pytest.raises(ValueError, match="at most 2\\^40"):
+                finite(q)
+        assert time.perf_counter() - start < 1.0
+
+    def test_finite_accepts_the_largest_prime_below_the_ceiling(self):
+        assert finite(2**40 - 87).q == 1099511627689
+
     def test_prime_power_test_matches_the_factor_count(self):
         def prime_factors(n):
             return {d for d in range(2, n + 1)

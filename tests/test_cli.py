@@ -126,6 +126,13 @@ class TestGraph:
         assert code == 1
         assert "degree-5" in json.loads(out)["error"]
 
+    @pytest.mark.parametrize("degree", ["5", "6"])
+    def test_orbits_without_dot_is_an_error_line(self, degree):
+        # the plain summary has no colors to show the orbits with
+        code, out = run("graph", "--degree", degree, "--orbits", "(1 2)")
+        assert code == 1
+        assert json.loads(out) == {"error": "orbit coloring (--orbits) needs --dot"}
+
 
 class TestRealizeAndVerify:
     def test_json_output_is_deterministic(self):
@@ -626,7 +633,7 @@ class TestLabelsWithoutEnumeration:
             "    ['classes', '--degree', '5'],\n"
             "    ['aut-table'],\n"
             ")]\n"
-            "print(codes, perms._lattice.cache_info().currsize)\n"
+            "print(codes, perms.all_subgroups.cache_info().currsize)\n"
         )
         env = dict(os.environ, PYTHONPATH=str(SRC))
         proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "m.json")],

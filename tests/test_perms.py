@@ -276,7 +276,7 @@ class TestSubgroupLattice:
         # the pinned table and the lattice read off it are cached per ambient
         # group; rebuild them from the patched generators, and drop that
         # build again afterwards
-        caches = (P._pinned_classes, P._lattice, P.all_subgroups)
+        caches = (P._pinned_classes, P.all_subgroups)
         for cached in caches:
             cached.cache_clear()
         yield
@@ -305,24 +305,24 @@ _AMBIENTS = [(5, P.symmetric_group_elements(5)), (6, P.hexagon_group_elements())
 
 class TestLatticeOracles:
     @pytest.mark.parametrize("degree, ambient", _AMBIENTS)
-    def test_masks_are_the_closures_of_all_pairs(self, degree, ambient):
+    def test_lattice_is_the_closures_of_all_pairs(self, degree, ambient):
         # the conjugates of the pinned representatives are exactly the
         # subgroups generated by two elements, i.e. every subgroup
-        lat = P._lattice(degree)
-        found = {
-            frozenset(g.images for i, g in enumerate(lat.elems) if mask >> i & 1)
-            for mask in lat.masks
-        }
-        assert len(found) == len(lat.masks) == {5: 156, 6: 16}[degree]
+        subgroups = P.all_subgroups(degree)
+        found = {frozenset(g.images for g in sub.elements) for sub in subgroups}
+        assert len(found) == len(subgroups) == {5: 156, 6: 16}[degree]
         assert found == subgroups_by_pairs(ambient)
 
     @pytest.mark.parametrize("degree", [5, 6])
-    def test_mask_generators_are_the_greedy_ones(self, degree):
-        lat = P._lattice(degree)
-        for mask in lat.masks:
-            sub = lat.subgroup_from_mask(mask)
+    def test_lattice_generators_are_the_greedy_ones(self, degree):
+        for sub in P.all_subgroups(degree):
             assert sub.generators == P._reduced_generators(sub.elements, degree)
             assert P.generate(sub.generators, degree) == sub
+
+    @pytest.mark.parametrize("degree", [5, 6])
+    def test_lattice_is_sorted_by_order_then_elements(self, degree):
+        subgroups = P.all_subgroups(degree)
+        assert list(subgroups) == sorted(subgroups, key=lambda s: (s.order, s.elements))
 
     def test_centralizer_is_the_commuting_set(self):
         s5 = P.symmetric_group_elements(5)

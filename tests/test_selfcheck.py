@@ -4,10 +4,11 @@ import builtins
 import io
 import json
 from contextlib import redirect_stdout
+from types import SimpleNamespace
 
 import pytest
 
-from delpezzo import cli, selfcheck
+from delpezzo import cli, perms, selfcheck
 
 
 @pytest.fixture
@@ -52,3 +53,47 @@ def test_run_all_writes_no_file(monkeypatch):
     results = selfcheck.run_all()
     assert [(r.name, r.detail) for r in results if not r.ok] == []
     assert len(results) == 10
+
+
+# Each check against a planted fault in the package function it compares to:
+# (check, name patched in selfcheck, fault made from the real function, the
+# start of the failure detail).
+_PLANTED_FAULTS = [
+    ("check_aut_table", "aut_table",
+     lambda real: lambda: [SimpleNamespace(label=row.label, aut_group=perms.generate([], 5))
+                           for row in real()],
+     "centralizer mismatch"),
+    ("check_minimal_rank", "invariant_rank",
+     lambda real: lambda sub: real(sub) + 1,
+     "rank"),
+    ("check_invariant_vertices", "has_invariant_independent_set",
+     lambda real: lambda sub: (not real(sub)[0], None),
+     "subset scan disagrees"),
+    ("check_graph_isomorphism", "intersect",
+     lambda real: lambda a, b: 1 - real(a, b),
+     "adjacency mismatch"),
+    ("check_graph_isomorphism", "graph_action",
+     lambda real: lambda sigma: real(perms.Perm.identity(5)),
+     "automorphism group"),
+    ("check_complexity_thresholds", "complexity",
+     lambda real: lambda group: real(group) + 1,
+     "complexities"),
+    ("check_minimal_existence", "g_minimal_exists",
+     lambda real: lambda group, cap: (not real(group, cap)[0], None),
+     "existence mismatch"),
+    ("check_equivariance", "points_with_action",
+     lambda real: lambda base, group: (real(base, group)[0],) * 5,
+     "collision"),
+    ("check_equivariance", "points_with_action",
+     lambda real: lambda base, group: real(base, group)[1::-1] + real(base, group)[2:],
+     "equivariance fails"),
+]
+
+
+@pytest.mark.parametrize("check, name, fault, prefix", _PLANTED_FAULTS,
+                         ids=[f"{name}-{prefix.split()[0]}" for _, name, _, prefix in _PLANTED_FAULTS])
+def test_a_planted_fault_fails_the_check(monkeypatch, check, name, fault, prefix):
+    monkeypatch.setattr(selfcheck, name, fault(getattr(selfcheck, name)))
+    ok, detail = getattr(selfcheck, check)()
+    assert ok is False
+    assert detail.startswith(prefix), detail

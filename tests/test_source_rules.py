@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import delpezzo
-from delpezzo import construct, perms
+from delpezzo import construct, fields, perms
 
 PACKAGE = Path(delpezzo.__file__).resolve().parent
 
@@ -128,6 +128,42 @@ def test_private_names_the_benchmark_tracer_hooks_exist():
     # metrics; a rename would silently drop them from a traced run
     assert callable(perms._Lattice)
     assert callable(construct._points_with_action_stats)
+
+
+def test_the_lattice_build_goes_through_the_module_global(monkeypatch):
+    # the tracer rebinds perms._Lattice to time perms.lattice{5,6}_build,
+    # which all_subgroups sees only if it looks the class up at call time
+    lattice_class = perms._Lattice
+    degrees = []
+
+    def recording(degree):
+        degrees.append(degree)
+        return lattice_class(degree)
+
+    perms.all_subgroups.cache_clear()
+    monkeypatch.setattr(perms, "_Lattice", recording)
+    try:
+        assert len(perms.all_subgroups(6)) == 16
+    finally:
+        perms.all_subgroups.cache_clear()
+    assert degrees == [6]
+
+
+def test_the_point_stats_go_through_the_module_global(monkeypatch):
+    # the tracer rebinds construct._points_with_action_stats and counts
+    # construct.orbits_placed as len(r[3]), one entry per orbit placed
+    stats = construct._points_with_action_stats
+    results = []
+
+    def recording(*args):
+        results.append(stats(*args))
+        return results[-1]
+
+    monkeypatch.setattr(construct, "_points_with_action_stats", recording)
+    construct.realize_dp5(fields.make_field(7, 1, 1), "[Z/6Z]")
+    group = perms.class_representative("[Z/6Z]", 5)
+    assert len(results) == 1
+    assert len(results[0][3]) == len(perms.orbits(group)) == 2
 
 
 def _unchecked_perm_uses(source):
