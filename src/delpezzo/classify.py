@@ -10,12 +10,12 @@ explicit user-supplied list for anything else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .perms import (
     ClassLabel,
     Subgroup,
+    _Record,
     centralizer,
     class_names,
     class_representative,
@@ -25,8 +25,7 @@ from .perms import (
 
 # --- field capabilities -------------------------------------------------------
 
-@dataclass(frozen=True)
-class FieldCapability:
+class FieldCapability(_Record):
     """Which subgroup classes occur as Galois groups over a field.
 
     kind "finite" (with q): exactly the classes with cyclic representatives,
@@ -34,19 +33,20 @@ class FieldCapability:
     "number_field": all classes.  kind "custom": the explicit label set.
     """
 
-    kind: str
-    q: int | None = None
-    labels: frozenset[str] = frozenset()
+    __slots__ = ("kind", "q", "labels")
 
-    def __post_init__(self):
-        if self.kind not in ("finite", "number_field", "custom"):
-            raise ValueError(f"unknown capability kind {self.kind!r}")
-        if self.kind == "finite":
+    def __init__(self, kind: str, q: int | None = None, labels: frozenset[str] = frozenset()):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "labels", labels)
+        if kind not in ("finite", "number_field", "custom"):
+            raise ValueError(f"unknown capability kind {kind!r}")
+        if kind == "finite":
             from .fields import MAX_BASE_FIELD  # here, so that aut-table does not load fields
 
-            if isinstance(self.q, int) and self.q > MAX_BASE_FIELD:
+            if isinstance(q, int) and q > MAX_BASE_FIELD:
                 raise ValueError("finite capability needs q at most 2^40")
-            if _prime_power(self.q) is None:
+            if _prime_power(q) is None:
                 raise ValueError("finite capability needs a prime-power q")
 
 
@@ -99,16 +99,16 @@ def realizable(label: ClassLabel | str, cap: FieldCapability,
 
 # --- the automorphism table ---------------------------------------------------
 
-@dataclass(frozen=True)
-class AutDescription:
+class AutDescription(_Record):
     """One table row: a surface type and its automorphism group."""
 
-    label: ClassLabel
-    group_name: str
-    aut_group: Subgroup
+    __slots__ = ("label", "group_name", "aut_group")
 
-    def __post_init__(self):
-        if self.aut_group.order != _GROUP_NAME_ORDERS[self.group_name]:
+    def __init__(self, label: ClassLabel, group_name: str, aut_group: Subgroup):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "group_name", group_name)
+        object.__setattr__(self, "aut_group", aut_group)
+        if aut_group.order != _GROUP_NAME_ORDERS[group_name]:
             raise ValueError("structural name does not match the group order")
 
 

@@ -20,7 +20,6 @@ over every finite field.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
 from math import isinf, lcm
 
 from .curvegraphs import blowdown_action, invariant_vertices
@@ -40,6 +39,7 @@ from .perms import (
     ClassLabel,
     Perm,
     Subgroup,
+    _Record,
     class_label,
     class_representative,
     complexity,
@@ -66,18 +66,16 @@ def _normalized(coords: tuple[FFElem, FFElem, FFElem]) -> tuple[FFElem, FFElem, 
     return tuple(c * inv for c in coords)
 
 
-@dataclass(frozen=True)
-class PlanePoint:
+class PlanePoint(_Record):
     """A projective plane point, scaled so its first nonzero coordinate is 1."""
 
-    spec: FieldSpec
-    coords: tuple[FFElem, FFElem, FFElem]
+    __slots__ = ("spec", "coords")
 
-    def __post_init__(self):
-        spec = self.spec
-        if len(self.coords) != 3 or any(c.spec is not spec and c.spec != spec for c in self.coords):
+    def __init__(self, spec: FieldSpec, coords: tuple[FFElem, FFElem, FFElem]):
+        if len(coords) != 3 or any(c.spec is not spec and c.spec != spec for c in coords):
             raise ValueError("a plane point needs three coordinates in one field")
-        object.__setattr__(self, "coords", _normalized(self.coords))
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "coords", _normalized(coords))
 
     def apply_frobenius(self) -> "PlanePoint":
         return PlanePoint(self.spec, tuple(frobenius(c) for c in self.coords))
@@ -127,21 +125,20 @@ def general_position(points) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PointConfig:
+class PointConfig(_Record):
     """A sequence of distinct plane points, optionally marked as conic points."""
 
-    spec: FieldSpec
-    points: tuple[PlanePoint, ...]
-    on_conic: bool = False
+    __slots__ = ("spec", "points", "on_conic")
 
-    def __post_init__(self):
-        spec = self.spec
-        if any(p.spec is not spec and p.spec != spec for p in self.points):
+    def __init__(self, spec: FieldSpec, points: tuple[PlanePoint, ...], on_conic: bool = False):
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "on_conic", on_conic)
+        if any(p.spec is not spec and p.spec != spec for p in points):
             raise ValueError("mismatched point fields")
-        if len({p.coords for p in self.points}) != len(self.points):
+        if len({p.coords for p in points}) != len(points):
             raise ValueError("points must be pairwise distinct")
-        if self.on_conic and not all(p.on_conic() for p in self.points):
+        if on_conic and not all(p.on_conic() for p in points):
             raise ValueError("point off the marked conic")
 
     def __len__(self) -> int:
@@ -239,27 +236,30 @@ def points_with_action(base: FieldSpec, group: Subgroup) -> tuple[FFElem, ...]:
 
 # --- surface models -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class SurfaceModel:
+class SurfaceModel(_Record):
     """A realized surface: configuration, Frobenius action, and type."""
 
-    degree: int
-    spec: FieldSpec
-    config: PointConfig
-    frobenius_perm: Perm
-    type_label: ClassLabel
-    construction: str
-    blowdown_vertex: frozenset[int] | None = None
+    __slots__ = ("degree", "spec", "config", "frobenius_perm", "type_label", "construction",
+                 "blowdown_vertex")
 
-    def __post_init__(self):
-        if self.degree not in (5, 6):
+    def __init__(self, degree: int, spec: FieldSpec, config: PointConfig, frobenius_perm: Perm,
+                 type_label: ClassLabel, construction: str,
+                 blowdown_vertex: frozenset[int] | None = None):
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "config", config)
+        object.__setattr__(self, "frobenius_perm", frobenius_perm)
+        object.__setattr__(self, "type_label", type_label)
+        object.__setattr__(self, "construction", construction)
+        object.__setattr__(self, "blowdown_vertex", blowdown_vertex)
+        if degree not in (5, 6):
             raise ValueError("unsupported degree")
-        if self.construction not in CONSTRUCTION_TAGS:
-            raise ValueError(f"unknown construction tag {self.construction!r}")
-        if (self.blowdown_vertex is not None) != (self.degree == 6):
+        if construction not in CONSTRUCTION_TAGS:
+            raise ValueError(f"unknown construction tag {construction!r}")
+        if (blowdown_vertex is not None) != (degree == 6):
             raise ValueError("blow-down vertex is for degree-6 models only")
-        if self.construction.endswith("_blowdown") != (self.degree == 6):
-            raise ValueError(f"construction tag {self.construction!r} does not match degree {self.degree}")
+        if construction.endswith("_blowdown") != (degree == 6):
+            raise ValueError(f"construction tag {construction!r} does not match degree {degree}")
 
     def galois_image(self) -> Subgroup:
         """The image of Frobenius in S5, read from the stored point permutation."""
@@ -409,9 +409,8 @@ def realize_dp6(base: FieldSpec, label6: ClassLabel | str) -> SurfaceModel:
     for vertex in invariant_vertices(image5):
         _, induced = blowdown_action(image5, vertex)
         if induced == requested:
-            return replace(model5, degree=6, type_label=requested,
-                           construction=model5.construction + "_blowdown",
-                           blowdown_vertex=vertex)
+            return SurfaceModel(6, model5.spec, model5.config, model5.frobenius_perm, requested,
+                                model5.construction + "_blowdown", vertex)
     raise AssertionError("internal error: no invariant vertex realizes the blow-down type")
 
 

@@ -15,7 +15,6 @@ the action yields the induced degree-6 type.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .perms import (
@@ -24,6 +23,7 @@ from .perms import (
     Perm,
     Subgroup,
     _orbits,
+    _Record,
     _reduced_generators,
     class_label,
     generate,
@@ -32,13 +32,16 @@ from .perms import (
 )
 
 
-@dataclass(frozen=True)
-class CurveGraph:
+class CurveGraph(_Record):
     """Intersection graph of the (-1)-curves, vertices tagged by their labels."""
 
-    degree_context: int
-    vertices: tuple[frozenset[int], ...]
-    adjacency: tuple[tuple[bool, ...], ...]
+    __slots__ = ("degree_context", "vertices", "adjacency")
+
+    def __init__(self, degree_context: int, vertices: tuple[frozenset[int], ...],
+                 adjacency: tuple[tuple[bool, ...], ...]):
+        object.__setattr__(self, "degree_context", degree_context)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "adjacency", adjacency)
 
     @property
     def n(self) -> int:
@@ -77,21 +80,20 @@ def curve_graph(degree_context: int) -> CurveGraph:
     return CurveGraph(degree_context, vertices, adjacency)
 
 
-@dataclass(frozen=True)
-class VertexPerm:
+class VertexPerm(_Record):
     """A permutation of the vertices of a curve graph; adjacency-preserving."""
 
-    graph: CurveGraph
-    perm: Perm
+    __slots__ = ("graph", "perm")
 
-    def __post_init__(self):
-        adj = self.graph.adjacency
-        p = self.perm
-        if p.degree != self.graph.n:
+    def __init__(self, graph: CurveGraph, perm: Perm):
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "perm", perm)
+        adj = graph.adjacency
+        if perm.degree != graph.n:
             raise ValueError("degree mismatch")
-        for i in range(self.graph.n):
-            for j in range(i + 1, self.graph.n):
-                if adj[i][j] != adj[p(i + 1) - 1][p(j + 1) - 1]:
+        for i in range(graph.n):
+            for j in range(i + 1, graph.n):
+                if adj[i][j] != adj[perm(i + 1) - 1][perm(j + 1) - 1]:
                     raise ValueError("vertex permutation does not preserve adjacency")
 
     def __call__(self, vertex_index: int) -> int:

@@ -23,7 +23,6 @@ cached packed columns (x^(q^k))^j mod f, so repeated orbit scans stay cheap.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
@@ -255,36 +254,47 @@ def _is_prime(n: int) -> bool:
 
 # --- field descriptors and elements ------------------------------------------
 
-@dataclass(frozen=True)
 class FieldSpec:
     """F_{p^m} = F_p[x]/(modulus), marked as an extension of F_{p^base_degree}.
 
-    Its tables are attributes, so looking them up never hashes the spec: the
-    packing ``_r``, the packed modulus ``_f`` with x^m = ``_g``, and the
-    Frobenius columns and subfield kernels as they are built.
+    Immutable; equal and hashed by its four fields.  Its tables are slots too,
+    so looking them up never hashes the spec: the packing ``_r``, the packed
+    modulus ``_f`` with x^m = ``_g``, and the Frobenius columns and subfield
+    kernels as they are built.
     """
 
-    p: int
-    m: int
-    modulus: tuple[int, ...]
-    base_degree: int
+    __slots__ = ("p", "m", "modulus", "base_degree", "_r", "_f", "_g", "_frob", "_kernels")
 
-    def __post_init__(self):
-        if not _is_prime(self.p):
+    def __init__(self, p: int, m: int, modulus: tuple[int, ...], base_degree: int):
+        if not _is_prime(p):
             raise ValueError("p is not prime")
-        if self.m < 1 or self.base_degree < 1 or self.m % self.base_degree:
+        if m < 1 or base_degree < 1 or m % base_degree:
             raise ValueError("base degree must divide the absolute degree")
-        if len(self.modulus) != self.m + 1 or self.modulus[-1] != 1:
+        if len(modulus) != m + 1 or modulus[-1] != 1:
             raise ValueError("modulus must be monic of the right degree")
-        if any(not 0 <= c < self.p for c in self.modulus):
+        if any(not 0 <= c < p for c in modulus):
             raise ValueError("modulus coefficients out of range")
-        ring = _ring(self.p, self.m)
-        f = ring.pack(self.modulus)
-        if not _is_irreducible(self.p, self.m, f):
+        ring = _ring(p, m)
+        f = ring.pack(modulus)
+        if not _is_irreducible(p, m, f):
             raise ValueError("modulus is reducible")
-        tables = dict(_r=ring, _f=f, _g=ring.sub(0, f - (1 << self.m * ring.w)), _frob={}, _kernels={})
-        for name, value in tables.items():
+        tables = (ring, f, ring.sub(0, f - (1 << m * ring.w)), {}, {})
+        for name, value in zip(self.__slots__, (p, m, modulus, base_degree, *tables)):
             object.__setattr__(self, name, value)
+
+    def __setattr__(self, *args):
+        raise AttributeError("FieldSpec is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not FieldSpec:
+            return NotImplemented
+        return (self.p, self.m, self.modulus, self.base_degree) == (
+            other.p, other.m, other.modulus, other.base_degree)
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.m, self.modulus, self.base_degree))
 
     @property
     def q(self) -> int:

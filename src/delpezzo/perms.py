@@ -30,9 +30,9 @@ from __future__ import annotations
 import itertools
 import re
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 
@@ -56,8 +56,10 @@ class Perm:
         object.__setattr__(perm, "images", images)
         return perm
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, *args):
         raise AttributeError("Perm is immutable")
+
+    __delattr__ = __setattr__
 
     @classmethod
     def identity(cls, degree: int) -> "Perm":
@@ -184,12 +186,45 @@ def parse_generators(text: str, degree: int) -> tuple[Perm, ...]:
     return tuple(parse_perm(part, degree) for part in parts)
 
 
-@dataclass(frozen=True)
-class ClassLabel:
+class _Record:
+    """A frozen value whose fields are the ``__slots__`` of its class.
+
+    ``__init__`` sets each field once with ``object.__setattr__``; equality,
+    hash and repr run over the field tuple, as those of a frozen dataclass
+    do.  Every record has at least two fields, so ``_fields`` gives a tuple.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = attrgetter(*cls.__slots__)  # _fields(record): the field tuple
+
+    def __setattr__(self, *args):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields(self) == other._fields(other)
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class ClassLabel(_Record):
     """Canonical name of a conjugacy class of subgroups, e.g. "[<(1,2)>]"."""
 
-    degree_context: int
-    name: str
+    __slots__ = ("degree_context", "name")
+
+    def __init__(self, degree_context: int, name: str):
+        object.__setattr__(self, "degree_context", degree_context)
+        object.__setattr__(self, "name", name)
 
     def __str__(self) -> str:
         return self.name
@@ -206,8 +241,10 @@ class Subgroup:
         object.__setattr__(self, "elements", tuple(sorted(elements)))
         object.__setattr__(self, "_members", frozenset(self.elements))
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, *args):
         raise AttributeError("Subgroup is immutable")
+
+    __delattr__ = __setattr__
 
     @property
     def order(self) -> int:

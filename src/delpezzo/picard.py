@@ -17,26 +17,25 @@ Everything here is exact integer arithmetic.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .perms import Perm, Subgroup, contains_order5, generate, orbits
+from .perms import Perm, Subgroup, _Record, contains_order5, generate, orbits
 
 
 _RANK = {5: 5, 6: 4}
 
 
-@dataclass(frozen=True)
-class PicClass:
+class PicClass(_Record):
     """An integral divisor class in coordinates over (H, E1, .., E_{9-degree})."""
 
-    degree_context: int
-    coords: tuple[int, ...]
+    __slots__ = ("degree_context", "coords")
 
-    def __post_init__(self):
-        if self.degree_context not in _RANK:
+    def __init__(self, degree_context: int, coords: tuple[int, ...]):
+        object.__setattr__(self, "degree_context", degree_context)
+        object.__setattr__(self, "coords", coords)
+        if degree_context not in _RANK:
             raise ValueError("unsupported degree")
-        if len(self.coords) != _RANK[self.degree_context]:
+        if len(coords) != _RANK[degree_context]:
             raise ValueError("wrong number of coordinates")
 
     def __add__(self, other: "PicClass") -> "PicClass":
@@ -143,19 +142,22 @@ def conic_classes() -> tuple[PicClass, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class LatticeAction:
-    """An isometry of the degree-5 lattice fixing K, as an integer matrix."""
+class LatticeAction(_Record):
+    """An isometry of the degree-5 lattice fixing K, as an integer matrix.
 
-    degree_context: int
-    matrix: tuple[tuple[int, ...], ...]  # rows; acts on coordinate columns
+    ``matrix`` is a tuple of rows; it acts on coordinate columns.
+    """
 
-    def __post_init__(self):
-        n = _RANK[self.degree_context]
-        if len(self.matrix) != n or any(len(r) != n for r in self.matrix):
+    __slots__ = ("degree_context", "matrix")
+
+    def __init__(self, degree_context: int, matrix: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "degree_context", degree_context)
+        object.__setattr__(self, "matrix", matrix)
+        n = _RANK[degree_context]
+        if len(matrix) != n or any(len(r) != n for r in matrix):
             raise ValueError("wrong matrix shape")
         sig = [1] + [-1] * (n - 1)
-        m = self.matrix
+        m = matrix
         for i in range(n):  # M^T diag M == diag
             for j in range(n):
                 val = sum(sig[k] * m[k][i] * m[k][j] for k in range(n))

@@ -21,7 +21,6 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass
 from typing import Callable
 
 from .classify import aut_table, finite, g_minimal_exists
@@ -35,6 +34,7 @@ from .curvegraphs import (
 )
 from .fields import frobenius, parse_field_literal
 from .perms import (
+    _Record,
     all_subgroups,
     centralizer,
     class_label,
@@ -58,12 +58,14 @@ from .picard import (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    ok: bool
-    seconds: float
-    detail: str
+class CheckResult(_Record):
+    __slots__ = ("name", "ok", "seconds", "detail")
+
+    def __init__(self, name: str, ok: bool, seconds: float, detail: str):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "seconds", seconds)
+        object.__setattr__(self, "detail", detail)
 
 
 def _run_cli(*argv: str, stdin: str = "") -> tuple[int, str]:

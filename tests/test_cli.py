@@ -739,30 +739,50 @@ _MODULES_LOADED = [
     (["check-paper"], {"classify", "construct", "curvegraphs", "fields", "perms", "picard",
                        "selfcheck"}),
 ]
+# Standard-library modules no cold call may load: dataclasses imports
+# inspect, which imports ast, dis and tokenize.
+_HEAVY_STDLIB = ("ast", "dataclasses", "dis", "inspect", "tokenize")
 _LOADED_SCRIPT = (
     "import sys\n"
     "{call}\n"
     "print(' '.join(sorted(m for m in sys.modules\n"
-    "                      if m == 'delpezzo' or m.startswith('delpezzo.'))))\n"
+    "                      if m == 'delpezzo' or m.startswith('delpezzo.')\n"
+    f"                      or m in {_HEAVY_STDLIB!r})))\n"
 )
+_CLI_CALL = "from delpezzo import cli\ncli.main(sys.argv[1:])"
 
 
+@lru_cache(maxsize=None)
 def _loaded_after(call, *argv):
-    """The delpezzo modules a fresh interpreter holds after running ``call``."""
+    """The delpezzo and _HEAVY_STDLIB modules a fresh interpreter holds after ``call``."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", _LOADED_SCRIPT.format(call=call), *argv],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    return set(proc.stdout.splitlines()[-1].split())
+    return frozenset(proc.stdout.splitlines()[-1].split())
+
+
+def _package_modules(loaded):
+    return {m for m in loaded if m not in _HEAVY_STDLIB}
 
 
 class TestColdImports:
     def test_bare_import_loads_no_submodule(self):
-        assert _loaded_after("import delpezzo") == {"delpezzo"}
+        assert _package_modules(_loaded_after("import delpezzo")) == {"delpezzo"}
 
     @pytest.mark.parametrize("argv,modules", _MODULES_LOADED,
                              ids=[argv[0] for argv, _ in _MODULES_LOADED])
     def test_command_loads_only_the_modules_it_runs(self, model_file, argv, modules):
         argv = [model_file if t == _MODEL else t for t in argv]
-        loaded = _loaded_after("from delpezzo import cli\ncli.main(sys.argv[1:])", *argv)
+        loaded = _package_modules(_loaded_after(_CLI_CALL, *argv))
         assert loaded == {"delpezzo", "delpezzo.cli"} | {f"delpezzo.{m}" for m in modules}
+
+    @pytest.mark.parametrize("argv", [None] + [argv for argv, _ in _MODULES_LOADED],
+                             ids=["import"] + [argv[0] for argv, _ in _MODULES_LOADED])
+    def test_no_cold_call_loads_dataclasses_or_inspect(self, model_file, argv):
+        # shares each interpreter run with the two tests above (cached)
+        if argv is None:
+            loaded = _loaded_after("import delpezzo")
+        else:
+            loaded = _loaded_after(_CLI_CALL, *[model_file if t == _MODEL else t for t in argv])
+        assert loaded & set(_HEAVY_STDLIB) == set()

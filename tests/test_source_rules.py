@@ -29,6 +29,33 @@ def test_no_bare_assert_in_the_package():
     assert found == []
 
 
+def _dataclasses_imports(source):
+    """Line numbers of every import of the dataclasses module."""
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Import)
+                and any(alias.name.split(".")[0] == "dataclasses" for alias in node.names)
+                or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"):
+            yield node.lineno
+
+
+def test_no_package_module_imports_dataclasses():
+    # every CLI call is a fresh interpreter, and dataclasses brings in
+    # inspect, ast, dis and tokenize and builds each class with exec; the
+    # records are __slots__ classes on perms._Record instead
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line in _dataclasses_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []
+
+
+def test_the_dataclasses_rule_sees_an_import():
+    source = "import json\nimport dataclasses\nfrom dataclasses import dataclass\n"
+    assert list(_dataclasses_imports(source)) == [2, 3]
+    assert list(_dataclasses_imports("from .perms import dataclass_like\n")) == []
+
+
 # \s, \d, \w or a negation \S, \D, \W after an unescaped backslash; without
 # re.ASCII these match Unicode spaces, digits and letters
 _UNICODE_CLASS = re.compile(r"(?<!\\)(?:\\\\)*\\[sdwSDW]")
