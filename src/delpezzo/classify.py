@@ -108,6 +108,8 @@ class AutDescription(_Record):
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "group_name", group_name)
         object.__setattr__(self, "aut_group", aut_group)
+        if group_name not in _GROUP_NAME_ORDERS:
+            raise ValueError(f"unknown group name {group_name!r}")
         if aut_group.order != _GROUP_NAME_ORDERS[group_name]:
             raise ValueError("structural name does not match the group order")
 

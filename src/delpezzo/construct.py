@@ -20,6 +20,7 @@ over every finite field.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from math import isinf, lcm
 
 from .curvegraphs import blowdown_action, invariant_vertices
@@ -175,17 +176,56 @@ def frobenius_permutation(config: PointConfig) -> Perm:
     return Perm(images)
 
 
-# --- the inductive equivariant point-set algorithm ---------------------------
+# --- per-type tables -------------------------------------------------------------
+#
+# These depend on the Frobenius permutation tau of the points or on a subgroup
+# of S5, never on the field, so each is computed once per process and key and
+# kept: realize and verify pass tau of degree 4 or 5 (at most 24 + 120 keys),
+# and S5 has 156 subgroups.  Nothing is filled at import.
 
-def _points_with_action_stats(base: FieldSpec, group: Subgroup):
+@lru_cache(maxsize=None)
+def _s5_image(tau: Perm) -> Subgroup:
+    """The Galois image in S5 of a model whose points Frobenius permutes by tau.
+
+    On five conic points tau already acts on {1..5}.  For a 4-point blow-up,
+    in the Kneser labels the exceptional class over point i is {i,5} and the
+    line through points i and j is {1,2,3,4} minus {i,j}.  Frobenius sends
+    E_i to E_tau(i) and that line to the line through points tau(i) and
+    tau(j), so it acts on the ten labels as tau extended by 5 -> 5.
+    """
+    return generate([Perm(tau.images + tuple(range(tau.degree, 5)))], degree=5)
+
+
+@lru_cache(maxsize=None)
+def _s5_label(tau: Perm) -> ClassLabel:
+    """The degree-5 type of a model whose points Frobenius permutes by tau."""
+    return class_label(_s5_image(tau), 5)
+
+
+@lru_cache(maxsize=None)
+def _blowdown_types(image: Subgroup) -> tuple[tuple[frozenset[int], ClassLabel], ...]:
+    """Each vertex the image fixes, in ``invariant_vertices`` order, with the
+    degree-6 type its blow-down induces."""
+    return tuple((v, blowdown_action(image, v)[1]) for v in invariant_vertices(image))
+
+
+@lru_cache(maxsize=None)
+def _orbit_plan(group: Subgroup) -> tuple[Perm, int, tuple[tuple[int, ...], ...], int]:
+    """The chosen generator, c(H), the orbits by (length, smallest point), and
+    the lcm of their lengths, of a cyclic subgroup of S5."""
     gen_perm = cyclic_generator(group)
     if group.degree != 5:
         raise ValueError("degree mismatch")
-    c = complexity(group)
+    orbit_list = tuple(sorted(orbits(group), key=lambda o: (len(o), min(o))))
+    return gen_perm, complexity(group), orbit_list, lcm(*(len(o) for o in orbit_list))
+
+
+# --- the inductive equivariant point-set algorithm ---------------------------
+
+def _points_with_action_stats(base: FieldSpec, group: Subgroup):
+    gen_perm, c, orbit_list, n_rel = _orbit_plan(group)
     if base.q <= c:
         raise ValueError("field too small, use small_field_realize")
-    orbit_list = sorted(orbits(group), key=lambda o: (len(o), min(o)))
-    n_rel = lcm(*(len(o) for o in orbit_list))
     work = make_field(base.p, base.base_degree, n_rel)
     betas: dict[int, FFElem] = {}
     placed: set[FFElem] = set()
@@ -280,22 +320,10 @@ class SurfaceModel(_Record):
         return data
 
 
-def _s5_image(tau: Perm) -> Subgroup:
-    """The Galois image in S5 of a model whose points Frobenius permutes by tau.
-
-    On five conic points tau already acts on {1..5}.  For a 4-point blow-up,
-    in the Kneser labels the exceptional class over point i is {i,5} and the
-    line through points i and j is {1,2,3,4} minus {i,j}.  Frobenius sends
-    E_i to E_tau(i) and that line to the line through points tau(i) and
-    tau(j), so it acts on the ten labels as tau extended by 5 -> 5.
-    """
-    return generate([Perm(tau.images + tuple(range(tau.degree, 5)))], degree=5)
-
-
 def _dp5_model(config: PointConfig, construction: str) -> SurfaceModel:
     """The degree-5 model of a configuration, typed by how Frobenius permutes its points."""
     tau = frobenius_permutation(config)
-    return SurfaceModel(5, config.spec, config, tau, class_label(_s5_image(tau), 5), construction)
+    return SurfaceModel(5, config.spec, config, tau, _s5_label(tau), construction)
 
 
 def dp5_from_four_points(config: PointConfig) -> SurfaceModel:
@@ -379,7 +407,7 @@ def realize_dp5(base: FieldSpec, label: ClassLabel | str) -> SurfaceModel:
     if not rep.is_cyclic:
         raise ValueError("not realizable: H must be cyclic over a finite field")
     requested = class_label(rep, 5)
-    if base.q > complexity(rep):
+    if base.q > _orbit_plan(rep)[1]:
         betas, _, gen_perm, _ = _points_with_action_stats(base, rep)
         model = _dp5_model(conic_config(betas), "conic5")
         if model.frobenius_perm != gen_perm:
@@ -405,9 +433,7 @@ def realize_dp6(base: FieldSpec, label6: ClassLabel | str) -> SurfaceModel:
     gens5 = [hex_embed_s5(*hex_decompose(h)) for h in rep6.generators]
     label5 = class_label(generate(gens5, degree=5), 5)
     model5 = realize_dp5(base, label5)
-    image5 = model5.galois_image()
-    for vertex in invariant_vertices(image5):
-        _, induced = blowdown_action(image5, vertex)
+    for vertex, induced in _blowdown_types(model5.galois_image()):
         if induced == requested:
             return SurfaceModel(6, model5.spec, model5.config, model5.frobenius_perm, requested,
                                 model5.construction + "_blowdown", vertex)
@@ -529,22 +555,21 @@ def verify_json(data: dict) -> list[tuple[str, bool, str]]:
 
     if stable and gp and n in (4, 5):
         try:
-            image5 = _s5_image(tau)
             if model.degree == 5:
-                recomputed = class_label(image5, 5)
+                recomputed = _s5_label(tau)
                 ok = recomputed == model.type_label
                 checks.append((
                     "type matches", ok, "" if ok else f"recomputed {recomputed.name}",
                 ))
             else:
-                vertex = model.blowdown_vertex
-                invariant = vertex in invariant_vertices(image5)
+                induced = next((label for vertex, label in _blowdown_types(_s5_image(tau))
+                                if vertex == model.blowdown_vertex), None)
+                invariant = induced is not None
                 checks.append((
                     "blow-down vertex invariant", invariant,
                     "" if invariant else "vertex moved by the Galois image",
                 ))
                 if invariant:
-                    _, induced = blowdown_action(image5, vertex)
                     ok = induced == model.type_label
                     checks.append((
                         "type matches", ok, "" if ok else f"recomputed {induced.name}",

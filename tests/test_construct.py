@@ -1,10 +1,13 @@
 """Point configurations, equivariant parameter sets, and realization sweeps."""
 
+import io
 import itertools
+import json
 import os
 import random
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -13,6 +16,7 @@ from hypothesis import strategies as st
 from reference_construct import cross, general_position as reference_general_position
 
 import delpezzo
+from delpezzo import cli, construct
 from delpezzo.construct import (
     PlanePoint,
     PointConfig,
@@ -600,6 +604,40 @@ class TestJsonRoundTrip:
     def test_unparseable_model(self):
         checks = verify_json({"degree": 5})
         assert checks == [("model parses", False, checks[0][2])]
+
+
+_CHECKS_BEFORE_THE_VERTEX = (
+    "PASS model parses\n"
+    "PASS point count\n"
+    "PASS construction tag consistent\n"
+    "PASS frobenius stability\n"
+    "PASS frobenius permutation matches\n"
+    "PASS general position\n"
+    "PASS conic membership\n"
+)
+
+
+class TestDegree6VerifyWithWarmCaches:
+    # verify reads the vertex and its blow-down type from one table per Galois
+    # image; a second model of the same image must take the filled table and
+    # print what the uncached path printed
+    @pytest.mark.parametrize("name,vertex,tail", [
+        ("[Z/6]", [1, 2], "FAIL blow-down vertex invariant (vertex moved by the Galois image)\n"),
+        ("[Z/6]", [1, 2, 3], "FAIL blow-down vertex invariant (vertex moved by the Galois image)\n"),
+        ("[<((1,2),0)>]", [1, 2],
+         "PASS blow-down vertex invariant\nFAIL type matches (recomputed [<(id,1)>])\n"),
+    ])
+    def test_tampered_vertex_prints_the_uncached_lines(self, name, vertex, tail, tmp_path):
+        data = realize_dp6(F7, name).to_json()
+        assert all(ok for _, ok, _ in verify_json(data))
+        hits = construct._blowdown_types.cache_info().hits
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(dict(data, blowdown_vertex=vertex)), encoding="utf-8")
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = cli.main(["verify", "--input", str(path)])
+        assert (code, out.getvalue()) == (1, _CHECKS_BEFORE_THE_VERTEX + tail)
+        assert construct._blowdown_types.cache_info().hits == hits + 1
 
 
 def _set(path, value):

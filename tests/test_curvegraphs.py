@@ -227,6 +227,16 @@ class TestBlowdown:
         with pytest.raises(ValueError, match="not in stabilizer"):
             C.blowdown_action(h, frozenset({4, 5}))
 
+    def test_plain_sets_are_accepted(self):
+        h = P.generate([P.parse_perm("(1 2 3)", 5)])
+        sub6, lbl = C.blowdown_action(h, {4, 5})
+        assert (sub6, lbl) == C.blowdown_action(h, frozenset({4, 5}))
+        assert lbl.name == "[Z/3]"
+        with pytest.raises(ValueError, match=r"^not a vertex label: \{1, 2, 3\}$"):
+            C.blowdown_action(h, {1, 2, 3})
+        with pytest.raises(ValueError, match="^not in stabilizer$"):
+            C.blowdown_action(h, {1, 4})
+
 
 class TestDot:
     def test_plain_dot(self):

@@ -11,7 +11,7 @@ import re
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from delpezzo import cli
+from delpezzo import cli, construct
 from delpezzo.construct import realize_dp5, realize_dp6, verify_json
 from delpezzo.fields import parse_field_literal
 
@@ -31,15 +31,32 @@ def run(argv):
     return {"code": code, "stdout": out.getvalue()}
 
 
-def test_realize_sweep_matches_golden():
-    golden = load("realize_sweep")
-    assert len(golden) == 299
-    for key, want in golden.items():
+def replay_sweep(entries):
+    for key, want in entries:
         field, degree, label = key.split("|")
         realize = realize_dp5 if degree == "5" else realize_dp6
         data = realize(parse_field_literal(field), label).to_json()
         assert json.dumps(data, indent=2) == want["json"], key
         assert [list(c) for c in verify_json(data)] == want["verify"], key
+
+
+def test_realize_sweep_matches_golden():
+    golden = load("realize_sweep")
+    assert len(golden) == 299
+    replay_sweep(golden.items())
+
+
+def test_realize_sweep_matches_golden_again_in_reverse():
+    # the per-type tables of construct are filled by the first pass (or by
+    # earlier tests); a second pass in the other order reads them back
+    golden = load("realize_sweep")
+    replay_sweep(golden.items())
+    replay_sweep(reversed(golden.items()))
+    # keyed by a permutation of degree 4 or 5, or by a subgroup of S5
+    bounds = {construct._s5_image: 144, construct._s5_label: 144,
+              construct._blowdown_types: 156, construct._orbit_plan: 156}
+    for cache, bound in bounds.items():
+        assert 0 < cache.cache_info().currsize <= bound, cache.__name__
 
 
 def test_cli_matches_golden(tmp_path, monkeypatch):

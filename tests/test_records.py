@@ -92,6 +92,7 @@ CASES = {
                      f"AutDescription(label={LABEL_REPR}, group_name='e', "
                      "aut_group=Subgroup<()> of order 1)",
                      ("label", ClassLabel(5, "[A5]")), {}, [
+        ((LABEL, "Q8", TRIVIAL5), "unknown group name 'Q8'"),
         ((LABEL, "S5", TRIVIAL5), "structural name does not match the group order"),
     ]),
     PicClass: ((5, (1, 0, 0, 0, 0)), "PicClass(degree_context=5, coords=(1, 0, 0, 0, 0))",
