@@ -27,6 +27,7 @@ from .curvegraphs import blowdown_action, invariant_vertices
 from .fields import (
     FieldSpec,
     FFElem,
+    _frob,
     elements_of_degree,
     from_coeffs,
     frobenius,
@@ -82,8 +83,9 @@ class PlanePoint(_Record):
         return PlanePoint(self.spec, tuple(frobenius(c) for c in self.coords))
 
     def on_conic(self) -> bool:
-        x, y, z = self.coords
-        return y * y == x * z
+        """y^2 = x*z, on the packed coordinates."""
+        (x, y, z), r, g = (c._v for c in self.coords), self.spec._r, self.spec._g
+        return r.mul(y, y, g) == r.mul(x, z, g)
 
     def to_json(self) -> list[list[int]]:
         return [list(c.coeffs) for c in self.coords]
@@ -166,11 +168,14 @@ def conic_config(betas) -> PointConfig:
 def frobenius_permutation(config: PointConfig) -> Perm:
     """The permutation i -> j with frobenius(P_i) = P_j (1-indexed).
 
-    Points are looked up by their coordinates, which ``PointConfig`` keeps in
-    one field.
+    Points are looked up by their packed coordinates, which ``PointConfig``
+    keeps in one field.  Frobenius fixes 0 and 1, so the image of a scaled
+    point is already scaled: no normalization is needed before the lookup.
     """
-    where = {p.coords: i for i, p in enumerate(config.points)}
-    images = tuple(where.get(p.apply_frobenius().coords) for p in config.points)
+    spec = config.spec
+    packed = [tuple(c._v for c in p.coords) for p in config.points]
+    where = {v: i for i, v in enumerate(packed)}
+    images = tuple(where.get(tuple(_frob(spec, c, 1) for c in v)) for v in packed)
     if None in images:
         raise ValueError("configuration not defined over the base field")
     return Perm(images)
@@ -179,9 +184,10 @@ def frobenius_permutation(config: PointConfig) -> Perm:
 # --- per-type tables -------------------------------------------------------------
 #
 # These depend on the Frobenius permutation tau of the points or on a subgroup
-# of S5, never on the field, so each is computed once per process and key and
-# kept: realize and verify pass tau of degree 4 or 5 (at most 24 + 120 keys),
-# and S5 has 156 subgroups.  Nothing is filled at import.
+# of S5 or of the hexagon group, never on the field, so each is computed once
+# per process and key and kept: realize and verify pass tau of degree 4 or 5
+# (at most 24 + 120 keys), S5 has 156 subgroups, and the requested types are
+# the 19 + 10 pinned representatives.  Nothing is filled at import.
 
 @lru_cache(maxsize=None)
 def _s5_image(tau: Perm) -> Subgroup:
@@ -207,6 +213,18 @@ def _blowdown_types(image: Subgroup) -> tuple[tuple[frozenset[int], ClassLabel],
     """Each vertex the image fixes, in ``invariant_vertices`` order, with the
     degree-6 type its blow-down induces."""
     return tuple((v, blowdown_action(image, v)[1]) for v in invariant_vertices(image))
+
+
+@lru_cache(maxsize=None)
+def _type_labels(rep: Subgroup, degree: int) -> tuple[ClassLabel, ClassLabel]:
+    """The label of a representative in its degree, and the degree-5 label of
+    its image in S5: the group itself in degree 5, and in degree 6 its image
+    under the standard embedding of the hexagon group."""
+    label = class_label(rep, degree)
+    if degree == 5:
+        return label, label
+    gens5 = [hex_embed_s5(*hex_decompose(h)) for h in rep.generators]
+    return label, class_label(generate(gens5, degree=5), 5)
 
 
 @lru_cache(maxsize=None)
@@ -356,7 +374,7 @@ def small_field_realize(base: FieldSpec, label: ClassLabel | str) -> SurfaceMode
     3-cycle type (a cubic conic triple plus one rational point).
     """
     rep = class_representative(label, 5)
-    name = class_label(rep, 5).name
+    name = _type_labels(rep, 5)[0].name
     p, e = base.p, base.base_degree
     if name == "[e]":
         work = make_field(p, e, 1)
@@ -406,7 +424,7 @@ def realize_dp5(base: FieldSpec, label: ClassLabel | str) -> SurfaceModel:
     rep = class_representative(label, 5)
     if not rep.is_cyclic:
         raise ValueError("not realizable: H must be cyclic over a finite field")
-    requested = class_label(rep, 5)
+    requested = _type_labels(rep, 5)[0]
     if base.q > _orbit_plan(rep)[1]:
         betas, _, gen_perm, _ = _points_with_action_stats(base, rep)
         model = _dp5_model(conic_config(betas), "conic5")
@@ -429,9 +447,7 @@ def realize_dp6(base: FieldSpec, label6: ClassLabel | str) -> SurfaceModel:
     rep6 = class_representative(label6, 6)
     if not rep6.is_cyclic:
         raise ValueError("not realizable: H must be cyclic over a finite field")
-    requested = class_label(rep6, 6)
-    gens5 = [hex_embed_s5(*hex_decompose(h)) for h in rep6.generators]
-    label5 = class_label(generate(gens5, degree=5), 5)
+    requested, label5 = _type_labels(rep6, 6)
     model5 = realize_dp5(base, label5)
     for vertex, induced in _blowdown_types(model5.galois_image()):
         if induced == requested:

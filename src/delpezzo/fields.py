@@ -222,13 +222,14 @@ def _is_irreducible(p: int, m: int, f: int) -> bool:
     return True
 
 
-def _span(ring: _Fp, rows) -> Iterator[list[int]]:
+def _span(ring: _Fp, rows, width: int = 1) -> Iterator[list[int]]:
     """sum_i d_i * rows[i] for every d in F_p^len(rows), first digit fastest.
 
-    A row is a tuple of packed vectors, summed side by side; each step adds
-    one row, and one more for every digit that wraps around.
+    A row is a tuple of ``width`` packed vectors, summed side by side; each
+    step adds one row, and one more for every digit that wraps around.  With
+    no rows the span is the zero sum alone.
     """
-    acc, digits = [0] * len(rows[0]), [0] * len(rows)
+    acc, digits = [0] * width, [0] * len(rows)
     while True:
         yield acc
         for i, row in enumerate(rows):
@@ -260,7 +261,7 @@ class FieldSpec:
     Immutable; equal and hashed by its four fields.  Its tables are slots too,
     so looking them up never hashes the spec: the packing ``_r``, the packed
     modulus ``_f`` with x^m = ``_g``, and the Frobenius columns and subfield
-    kernels as they are built.
+    rows (``_subfield_rows``) as they are built.
     """
 
     __slots__ = ("p", "m", "modulus", "base_degree", "_r", "_f", "_g", "_frob", "_kernels")
@@ -489,12 +490,15 @@ def from_coeffs(spec: FieldSpec, coeffs) -> FFElem:
         raise ValueError(f"coefficients must be a list, not {type(coeffs).__name__}")
     if len(coeffs) > spec.m:
         raise ValueError(f"{len(coeffs)} coefficients, more than the degree {spec.m}")
-    for c in coeffs:
-        if type(c) is not int or not 0 <= c < spec.p:
-            raise ValueError(f"coefficient {c!r} is not an integer in [0, {spec.p})")
+    v, shift, w, p = 0, 0, spec._r.w, spec.p
+    for c in coeffs:  # checked and packed in one pass
+        if type(c) is not int or not 0 <= c < p:
+            raise ValueError(f"coefficient {c!r} is not an integer in [0, {p})")
+        v |= c << shift
+        shift += w
     if coeffs and not coeffs[-1]:
         raise ValueError("trailing zero coefficient")
-    return _elem(spec, spec._r.pack(coeffs))
+    return _elem(spec, v)
 
 
 def field_elements(spec: FieldSpec) -> Iterator[FFElem]:
@@ -548,22 +552,29 @@ def element_degree(x: FFElem) -> int:
     return next(k for k in range(1, n + 1) if n % k == 0 and _frob(x.spec, x._v, k) == x._v)
 
 
-def _subfield_basis(spec: FieldSpec, l: int) -> list[int]:
-    """Packed echelon kernel basis of frobenius^l - 1, lowest free column first.
+def _subfield_rows(spec: FieldSpec, l: int) -> list[tuple[int, ...]]:
+    """The rows that ``elements_of_degree`` counts F_{q^l} with, kept per l.
 
-    Counting in it, first vector as the least significant digit, lists F_{q^l}
-    in ascending index: the vector of free column c has its highest nonzero
-    coordinate at c and every other one is 0 at c.  At l = n it is the
-    standard basis and the count is the index scan.
+    Row i is basis vector b_i of the packed echelon kernel of frobenius^l - 1,
+    lowest free column first, followed by frobenius^k(b_i) - b_i for every
+    proper divisor k of l.  Counting in the basis, first vector as the least
+    significant digit, lists F_{q^l} in ascending index: the vector of free
+    column c has its highest nonzero coordinate at c and every other one is 0
+    at c.  At l = n it is the standard basis and the count is the index scan.
+    Frobenius fixes 1, so column 0 of frobenius^l - 1 is zero: ``kernel``
+    makes it the first free column, and b_0 = 1.
     """
-    if l not in spec._kernels:
+    rows = spec._kernels.get(l)
+    if rows is None:
         ring = spec._r
         basis = [1 << (j * ring.w) for j in range(spec.m)]
         if l % spec.n:
             cols = _frob_cols(spec, l % spec.n)
             basis = ring.kernel([ring.sub(c, u) for c, u in zip(cols, basis)])
-        spec._kernels[l] = basis
-    return spec._kernels[l]
+        divisors = [k for k in range(1, l) if l % k == 0]
+        rows = spec._kernels[l] = [
+            (b,) + tuple(ring.sub(_frob(spec, b, k), b) for k in divisors) for b in basis]
+    return rows
 
 
 def subfield_elements(spec: FieldSpec) -> tuple[FFElem, ...]:
@@ -575,16 +586,26 @@ def elements_of_degree(spec: FieldSpec, l: int) -> Iterator[FFElem]:
     """Elements of exact degree l over the base, ascending canonical index.
 
     Alongside each element v of F_{q^l} the count carries frobenius^k(v) - v
-    for every proper divisor k of l; v has degree l when none of them is 0.
+    for every proper divisor k of l; v has degree l when none of them is 0,
+    and, for l = 1, which has no such k, when v is not 0.
+
+    The lowest digit runs over a whole line u + d*b_0, d in F_p, at once.
+    Since b_0 = 1 (see ``_subfield_rows``), adding it changes none of the
+    carried values, so they are the same at every point of the line, and
+    every other basis vector is 0 at x^0, so the point is the packed int
+    u + d.  One check of the carried values of u keeps or skips all p points.
+    Only v = 0 (u = 0, d = 0) needs its own exclusion: for l > 1 its line
+    carries zeros and is skipped whole, for l = 1 the line starts at d = 1.
+    The elements and their order are those of the digit-by-digit count.
     """
     if l < 1 or spec.n % l:
         raise ValueError("l does not divide the relative degree")
-    ring = spec._r
-    rows = [(b,) + tuple(ring.sub(_frob(spec, b, k), b) for k in range(1, l) if l % k == 0)
-            for b in _subfield_basis(spec, l)]
-    for acc in _span(ring, rows):
-        if all(acc):
-            yield _elem(spec, acc[0])
+    rows = _subfield_rows(spec, l)
+    for acc in _span(spec._r, rows[1:], len(rows[0])):
+        if all(acc[1:]):
+            u = acc[0]
+            for d in range(0 if u else 1, spec.p):
+                yield _elem(spec, u + d)
 
 
 def element_of_degree(spec: FieldSpec, l: int) -> FFElem:

@@ -3,11 +3,15 @@
 ``construct.general_position`` works on packed ints and shares each pair's
 cross product among the triples through that pair; here every triple gets its
 own determinant, built from ``FFElem`` arithmetic, and nothing is shared.
+``frobenius_permutation`` and ``on_conic`` work on packed ints too; here the
+image of each point is ``PlanePoint.apply_frobenius``, normalized again, and
+the conic equation is a product of ``FFElem`` values.
 """
 
 import itertools
 
 from delpezzo.fields import zero
+from delpezzo.perms import Perm
 
 
 def cross(a, b):
@@ -27,3 +31,18 @@ def general_position(points):
     if len(pts) < 3:
         raise ValueError("general position needs at least three points")
     return all(bool(det3(p, q, r)) for p, q, r in itertools.combinations(pts, 3))
+
+
+def frobenius_permutation(config):
+    """i -> j with frobenius(P_i) = P_j, matching points as normalized objects."""
+    where = {p.coords: i for i, p in enumerate(config.points)}
+    images = tuple(where.get(p.apply_frobenius().coords) for p in config.points)
+    if None in images:
+        raise ValueError("configuration not defined over the base field")
+    return Perm(images)
+
+
+def on_conic(point):
+    """y^2 = x*z in ``FFElem`` arithmetic."""
+    x, y, z = point.coords
+    return y * y == x * z

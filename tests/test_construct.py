@@ -13,10 +13,15 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_construct import cross, general_position as reference_general_position
+from reference_construct import (
+    cross,
+    frobenius_permutation as reference_frobenius_permutation,
+    general_position as reference_general_position,
+    on_conic as reference_on_conic,
+)
 
 import delpezzo
-from delpezzo import cli, construct
+from delpezzo import cli, construct, fields
 from delpezzo.construct import (
     PlanePoint,
     PointConfig,
@@ -140,6 +145,27 @@ def _draw_point(spec, data):
     return PlanePoint(spec, coords if any(coords) else (one(spec),) + coords[1:])
 
 
+def _draw_config(spec, data):
+    """4 or 5 distinct points, some on the conic.  A drawn point may bring its
+    Frobenius orbit along, cut off when it does not fit, so stable and
+    unstable configurations both come up; rational points fill the rest."""
+    n = data.draw(st.integers(4, 5))
+    points = []
+    for _ in range(n):
+        if data.draw(st.booleans()):
+            pt = conic_point(spec, _draw_coord(spec, data))
+        else:
+            pt = _draw_point(spec, data)
+        orbit = [pt]
+        if data.draw(st.booleans()):
+            while (image := orbit[-1].apply_frobenius()) != pt:
+                orbit.append(image)
+        points += [q for q in orbit if q not in points][:n - len(points)]
+    frame = [plane_point(spec, *c) for c in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (0, 1, 1)]]
+    points += [q for q in frame if q not in points][:n - len(points)]
+    return PointConfig(spec, tuple(data.draw(st.permutations(points))))
+
+
 def _on_line_through(p, q, a, b):
     """The point a*p + b*q, or p again when that is the zero vector."""
     coords = tuple(a * x + b * y for x, y in zip(p.coords, q.coords))
@@ -162,6 +188,24 @@ class TestPackedPointChecks:
         assert general_position(pts) == reference_general_position(pts)
         if planted is not None:
             assert not general_position(pts)
+
+    @pytest.mark.parametrize("literal", ["2^2:base=1", "2^6:base=2", "3^2:base=1",
+                                         "3^6:base=2", "7^3:base=1", "5^4:base=1",
+                                         "65521^2:base=1"])
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_frobenius_permutation_and_conic_match_the_oracle(self, literal, data):
+        config = _draw_config(parse_field_literal(literal), data)
+        try:
+            want = reference_frobenius_permutation(config)
+        except ValueError as err:
+            with pytest.raises(ValueError) as got:
+                frobenius_permutation(config)
+            assert str(got.value) == str(err)
+        else:
+            assert frobenius_permutation(config) == want
+        assert [p.on_conic() for p in config.points] == [
+            reference_on_conic(p) for p in config.points]
 
     def test_only_the_last_triple_collinear(self):
         spec = parse_field_literal("65521")
@@ -289,6 +333,26 @@ class TestPointsWithAction:
         placed = {betas[4], betas[0], betas[1]}  # after orbits {5}, {1,2}
         scalars = subfield_elements(work)[1:]
         assert all(a * w in placed for a in scalars)  # every scalar collides
+
+    def test_seed_search_skips_the_subfield_lines(self, monkeypatch):
+        # over 65521 and 65521^2 the first seeds of degree 2 and 3 lie past
+        # about 131 000 vectors of the proper subfields; one check per line
+        # of p vectors reaches them in a few steps (make_field's own steps,
+        # when its cache is cold, count too)
+        steps = 0
+        span = fields._span
+
+        def counted(*args):
+            nonlocal steps
+            for acc in span(*args):
+                steps += 1
+                yield acc
+
+        monkeypatch.setattr(fields, "_span", counted)
+        for literal in ("65521", "65521^2"):
+            steps = 0
+            realize_dp5(parse_field_literal(literal), "[Z/6Z]")
+            assert steps <= 100, (literal, steps)
 
     def test_scalar_positions_within_counting_bound(self):
         for qtext in ["2", "3", "2^2", "5", "7", "2^3", "3^2"]:
@@ -484,6 +548,18 @@ class TestRealizeDp6:
         assert model.blowdown_vertex in set(
             frozenset(v) for v in [{1, 2}, {3, 4}, {3, 5}, {4, 5}]
         )
+
+    def test_a_repeated_type_is_labelled_from_the_tables(self, monkeypatch):
+        # the requested labels depend only on the type; a second realize of
+        # the same type in both degrees calls class_label no more
+        for realize, name in [(realize_dp6, "[Z/6]"), (realize_dp5, "[Z/3Z]"),
+                              (realize_dp6, "[<(id,1)>]")]:
+            first = realize(F7, name)
+            calls = []
+            monkeypatch.setattr(construct, "class_label",
+                                lambda *args: calls.append(args) or class_label(*args))
+            assert realize(F7, name) == first and calls == []
+            monkeypatch.undo()
 
     def test_small_field_route_tags(self):
         assert realize_dp6(F2, "[Z/3]").construction == "fourpoints_blowdown"

@@ -281,9 +281,16 @@ class TestElementDegrees:
         assert len(listed) == 16 - 4
 
     def test_enumeration_subfield_path(self):
-        # l < n: counting over a kernel basis that is not the standard one
+        # l < n: counting over a kernel basis that is not the standard one;
+        # e > 1: a line u + d (d in F_p) is shorter than the base field;
+        # l = 1: only 0 is excluded (n = 1: no basis vector above 1);
+        # l = n: the standard basis
         for p, e, n, l, count in [(2, 1, 6, 2, 2), (2, 1, 6, 3, 6), (3, 1, 6, 2, 6),
-                                  (3, 1, 6, 3, 24), (5, 1, 4, 2, 20)]:
+                                  (3, 1, 6, 3, 24), (5, 1, 4, 2, 20),
+                                  (3, 2, 3, 1, 8), (3, 2, 2, 2, 72), (2, 2, 4, 2, 12),
+                                  (2, 2, 3, 1, 3), (2, 2, 3, 3, 60), (2, 1, 6, 1, 1),
+                                  (5, 1, 2, 1, 4), (3, 1, 6, 6, 696), (3, 1, 1, 1, 2),
+                                  (2, 1, 1, 1, 1)]:
             spec = make_field(p, e, n)
             listed = list(elements_of_degree(spec, l))
             brute = [
@@ -359,6 +366,11 @@ class TestIndexAndCoefficients:
         ([1, 0], "trailing zero"),
         ([0], "trailing zero"),
         ([1, 1, 1, 1, 1], "more than the degree 4"),
+        # bad and trailing at once: the coefficient error wins; too long wins over both
+        ([3, 0], "coefficient 3 is not an integer in [0, 3)"),
+        ([1, 0.0], "coefficient 0.0 is not an integer"),
+        ([False], "coefficient False is not an integer"),
+        ([3, 3, 3, 3, 0], "more than the degree 4"),
         ([True], "not an integer"),
         ([1.0], "not an integer"),
         (["1"], "not an integer"),
