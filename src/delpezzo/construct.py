@@ -84,8 +84,8 @@ class PlanePoint(_Record):
 
     def on_conic(self) -> bool:
         """y^2 = x*z, on the packed coordinates."""
-        (x, y, z), r, g = (c._v for c in self.coords), self.spec._r, self.spec._g
-        return r.mul(y, y, g) == r.mul(x, z, g)
+        (x, y, z), g = (c._v for c in self.coords), self.spec._g
+        return not self.spec._r.minor(y, y, x, z, g)
 
     def to_json(self) -> list[list[int]]:
         return [list(c.coeffs) for c in self.coords]
@@ -105,8 +105,9 @@ def plane_point(spec: FieldSpec, *coords) -> PlanePoint:
 def general_position(points) -> bool:
     """No three of the points are collinear (needs at least three points).
 
-    On packed ints: the cross product of each pair is formed once and dotted
-    with every later point, so all C(n, 3) determinants are tested.
+    On packed ints: the cross product of each pair is formed once, from three
+    minors, and dotted with every later point, one reduction per determinant,
+    so all C(n, 3) determinants are tested.
     """
     pts = list(points)
     if len(pts) < 3:
@@ -119,11 +120,11 @@ def general_position(points) -> bool:
     for i, (a0, a1, a2) in enumerate(vs):
         for j in range(i + 1, len(vs) - 1):
             b0, b1, b2 = vs[j]
-            c0 = r.sub(r.mul(a1, b2, g), r.mul(a2, b1, g))
-            c1 = r.sub(r.mul(a2, b0, g), r.mul(a0, b2, g))
-            c2 = r.sub(r.mul(a0, b1, g), r.mul(a1, b0, g))
+            c0 = r.minor(a1, b2, a2, b1, g)
+            c1 = r.minor(a2, b0, a0, b2, g)
+            c2 = r.minor(a0, b1, a1, b0, g)
             for k0, k1, k2 in vs[j + 1:]:
-                if not r.add(r.add(r.mul(c0, k0, g), r.mul(c1, k1, g)), r.mul(c2, k2, g)):
+                if not r.dot(c0, k0, c1, k1, c2, k2, g):
                     return False
     return True
 
@@ -565,9 +566,8 @@ def verify_json(data: dict) -> list[tuple[str, bool, str]]:
     else:
         checks.append(("general position", gp, "" if gp else "three points collinear"))
 
-    if model.config.on_conic:
-        ok = all(p.on_conic() for p in model.config.points)
-        checks.append(("conic membership", ok, "" if ok else "point off the conic"))
+    if model.config.on_conic:  # model_from_json's PointConfig tested every point
+        checks.append(("conic membership", True, ""))
 
     if stable and gp and n in (4, 5):
         try:

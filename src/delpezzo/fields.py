@@ -16,8 +16,10 @@ arithmetic happens inside this one common field; base-field membership is
 "fixed by frobenius".
 
 No randomness and no floating point: irreducibility is tested with
-gcd(f, x^(p^k) - x) for k <= m/2, and Frobenius maps are applied as sums of
-cached packed columns (x^(q^k))^j mod f, so repeated orbit scans stay cheap.
+gcd(f, x^(p^k) - x) for k <= m/2 (Ben-Or), after a sieve that drops the
+candidates x^m + h + c with a root in F_p a line (all c in F_p) at a time, and
+Frobenius maps are applied as sums of cached packed columns (x^(q^k))^j mod f,
+so repeated orbit scans stay cheap.
 """
 
 from __future__ import annotations
@@ -32,9 +34,12 @@ from typing import Iterator
 class _Fp:
     """F_p[x], p odd, on packed ints of w = 2*bits(p-1) + bits(m) + 3 bit slots.
 
-    A product of two reduced polynomials of degree below m, plus two folds of
-    x^m = g, stays below 2^(w-1) in every slot: sums stay exact until one
-    slot-wise reduction, and the top bit is room for subtracting p.
+    Sums stay exact until one slot-wise reduction, which needs every slot
+    below 2^(w-1) (room for subtracting p): 2^(w-1) > 4*m*p^2, as 2^bits(m)
+    > m and 2^bits(p-1) >= p.  ``reduce`` takes at most three products, each
+    of m or fewer slots below p times slots at most p (pp - d for -d), so
+    slots below 3*m*p^2; a fold of x^m = g adds norm(high) * g, below m*p^2,
+    and every second fold normalizes the low part first: below 4*m*p^2.
     """
 
     __slots__ = ("p", "m", "w", "slot", "span", "top", "pp", "chain", "cut")
@@ -81,13 +86,21 @@ class _Fp:
         return a * b  # slots not yet reduced
 
     def mul(self, a: int, b: int, g: int) -> int:
-        """a * b mod x^m - g: fold the part of degree >= m back as a multiple of g."""
-        t, mw = a * b, self.m * self.w
-        folds = 0
+        return self.reduce(a * b, g)
+
+    def minor(self, a: int, b: int, c: int, d: int, g: int) -> int:
+        return self.reduce(a * b + c * (self.pp - d), g)  # a*b - c*d
+
+    def dot(self, a: int, b: int, c: int, d: int, e: int, f: int, g: int) -> int:
+        return self.reduce(a * b + c * d + e * f, g)
+
+    def reduce(self, t: int, g: int) -> int:
+        """t mod x^m - g, slots mod p: fold the part of degree >= m back as a multiple of g."""
+        mw, folds = self.m * self.w, 0
         while t >> mw:
             folds += 1
             low = t & ((1 << mw) - 1)
-            t = (low if folds % 3 else self.norm(low)) + self.norm(t >> mw) * g
+            t = (low if folds % 2 else self.norm(low)) + self.norm(t >> mw) * g
         return self.norm(t)
 
     def combine(self, cols, a: int) -> int:
@@ -132,6 +145,14 @@ class _Fp:
             inv = pow(v >> shift & slot, -1, p)
             pivots.append((shift, self.norm(v * inv), self.norm(combo * inv)))
         return basis
+
+    def rooted(self, f: int) -> set[int]:
+        """The c = -f(a), a in F_p, for which f + c has a root: Horner at all a at
+        once.  f is monic, so ``unpack`` keeps its zero slots; slot 0 is clear."""
+        p, vals = self.p, [1] * self.p
+        for s in self.unpack(f)[-2:0:-1]:
+            vals = [(v * a + s) % p for a, v in enumerate(vals)]
+        return {-v * a % p for a, v in enumerate(vals)}
 
     def powmod(self, a: int, e: int, g: int) -> int:
         out = 1
@@ -179,9 +200,17 @@ class _F2(_Fp):
         return out
 
     def mul(self, a: int, b: int, g: int) -> int:
-        t, m = self.pmul(a, b), self.m
-        while t >> m:
-            t = (t & ((1 << m) - 1)) ^ self.pmul(t >> m, g)
+        return self.reduce(self.pmul(a, b), g)
+
+    def minor(self, a: int, b: int, c: int, d: int, g: int) -> int:
+        return self.reduce(self.pmul(a, b) ^ self.pmul(c, d), g)
+
+    def dot(self, a: int, b: int, c: int, d: int, e: int, f: int, g: int) -> int:
+        return self.reduce(self.pmul(a, b) ^ self.pmul(c, d) ^ self.pmul(e, f), g)
+
+    def reduce(self, t: int, g: int) -> int:
+        while t >> self.m:
+            t = (t & ((1 << self.m) - 1)) ^ self.pmul(t >> self.m, g)
         return t
 
     def combine(self, cols, a: int) -> int:
@@ -190,6 +219,10 @@ class _F2(_Fp):
             if bit:
                 out ^= col
         return out
+
+    def rooted(self, f: int) -> set[int]:
+        """f + c vanishes at 0 when c = 0 and at 1 when c is the parity of f's terms."""
+        return {0, f.bit_count() & 1}
 
     def divmod(self, a: int, b: int) -> tuple[int, int]:
         quo, deg_b = 0, b.bit_length() - 1
@@ -220,6 +253,13 @@ def _is_irreducible(p: int, m: int, f: int) -> bool:
         if a >> ring.w:  # a common factor of positive degree
             return False
     return True
+
+
+# make_field's root sieve costs p * m steps of about 0.1 us a line.  Below this
+# that is at most 0.6 ms, lost where the first few candidates give the modulus
+# (1009^6 takes 0.5 ms unsieved), while a search through whole lines gains far
+# more (1009^5: 24 -> 1.1 ms).  Above it the loss reaches 45 ms (65521^6).
+_SIEVE_CUT = 6000
 
 
 def _span(ring: _Fp, rows, width: int = 1) -> Iterator[list[int]]:
@@ -328,9 +368,12 @@ def make_field(p: int, base_degree: int, relative_degree: int) -> FieldSpec:
     m = base_degree * relative_degree
     ring = _ring(p, m)
     lead = 1 << (m * ring.w)
-    for tail, in _span(ring, [(1 << (i * ring.w),) for i in range(m)]):  # index order
-        if _is_irreducible(p, m, lead + tail):
-            return FieldSpec(p, m, tuple(ring.unpack(lead + tail)), base_degree)
+    sieve = 1 < m and p * m < _SIEVE_CUT  # at m = 1 every x + c has a root, yet x is irreducible
+    for h, in _span(ring, [(1 << (i * ring.w),) for i in range(1, m)]):  # index order, c fastest
+        rooted = ring.rooted(lead + h) if sieve else ()
+        for c in range(p):
+            if c not in rooted and _is_irreducible(p, m, lead + h + c):
+                return FieldSpec(p, m, tuple(ring.unpack(lead + h + c)), base_degree)
     raise RuntimeError("unreachable: an irreducible of every degree exists")
 
 

@@ -128,7 +128,10 @@ class TestGeneralPosition:
 
 # --- the packed point checks against the FFElem oracle (derandomized) ---------
 
-_POINT_FIELDS = ["2", "7", "2^5", "3^3", "65521^2"]
+# the last four have the largest slot sums (47, 65521^12) and the most folds
+# (3^150, 2^240) of the fields the literal ceilings admit
+_POINT_FIELDS = ["2", "7", "2^5", "3^3", "65521^2",
+                 "47^6:base=1", "65521^12:base=2", "3^150:base=25", "2^240:base=40"]
 
 
 def _draw_coord(spec, data):
@@ -191,7 +194,8 @@ class TestPackedPointChecks:
 
     @pytest.mark.parametrize("literal", ["2^2:base=1", "2^6:base=2", "3^2:base=1",
                                          "3^6:base=2", "7^3:base=1", "5^4:base=1",
-                                         "65521^2:base=1"])
+                                         "65521^2:base=1", "47^6:base=1", "65521^12:base=2",
+                                         "3^150:base=25", "2^240:base=40"])
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
     def test_frobenius_permutation_and_conic_match_the_oracle(self, literal, data):
@@ -631,6 +635,12 @@ class TestJsonRoundTrip:
         data["points"][2][1] = [1, 1]  # replace one coordinate
         checks = verify_json(data)
         assert any(not ok for _, ok, _ in checks)
+
+    def test_off_conic_point_fails_only_the_parse(self):
+        # the parse tests every marked point once; verify reads its verdict
+        data = realize_dp5(F7, "[Z/4Z]").to_json()
+        data["points"][4] = [[1], [], [1]]  # (1:0:1) is off y^2 = xz
+        assert verify_json(data) == [("model parses", False, "point off the marked conic")]
 
     def test_tampered_conic_marker_fails(self):
         data = realize_dp5(F7, "[Z/4Z]").to_json()

@@ -6,6 +6,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from delpezzo import fields
 from delpezzo.fields import (
     FieldSpec,
     FFElem,
@@ -30,6 +31,7 @@ from delpezzo.fields import (
 from reference_fields import (
     _is_irreducible,
     _padd,
+    _pgcd,
     _pinv,
     _pmod,
     _pmul,
@@ -444,3 +446,64 @@ class TestAgainstTupleReference:
             spec = make_field(*field)
             assert {i: c for i, c in enumerate(spec.modulus) if c} == terms
             assert _is_irreducible(spec.modulus, spec.p)
+
+
+# the fields of the benchmark's realize-sweep (SWEEP_FIELDS in perfbench/corpus.py)
+_SWEEP_LITERALS = ["2", "3", "2^2", "5", "7", "2^3", "3^2", "11", "13", "2^4", "17", "19",
+                   "23", "5^2", "3^3", "29", "31", "2^5", "37", "41", "43", "47", "7^2"]
+
+
+class TestModulusSearch:
+    def test_every_sweep_modulus_matches_the_reference_search(self):
+        searched = set()
+        for literal in _SWEEP_LITERALS:
+            base = parse_field_literal(literal)
+            for n in range(1, 7):
+                spec = make_field(base.p, base.base_degree, n)
+                searched.add((spec.p, spec.m))
+                assert spec.modulus == canonical_modulus(spec.p, spec.m), spec
+        assert len(searched) == 113
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_irreducibility_and_the_root_sieve_match_the_reference(self, data):
+        p = data.draw(st.sampled_from([2, 3, 5, 47, 65521]))
+        m = data.draw(st.integers(1, 4 if p == 65521 else 8))
+        f = tuple(data.draw(st.lists(st.integers(0, p - 1), min_size=m, max_size=m))) + (1,)
+        ring = fields._ring(p, m)
+        packed = ring.pack(f)
+        assert fields._is_irreducible(p, m, packed) == _is_irreducible(f, p)
+        # the sieve's verdict: f has a root in F_p, that is gcd(f, x^p - x) != 1
+        rooted = f[0] in ring.rooted(packed - f[0])
+        assert rooted == (len(_pgcd(f, _psub(_ppowmod((0, 1), p, f, p), (0, 1), p), p)) > 1)
+        assert not (rooted and m > 1 and _is_irreducible(f, p))
+
+
+# (p, m) with the least headroom for a sum of products: 2^(w-1) / (4 m p^2)
+# is smallest when p - 1 and m lie just below powers of 2 (8191 and 15: 94 %)
+_HEADROOM = [(47, 6), (65521, 7), (65521, 12), (8191, 15), (3, 150)]
+
+
+class TestSumsOfProducts:
+    @pytest.mark.parametrize("p,m", _HEADROOM)
+    def test_reduce_at_its_largest_input(self, p, m):
+        # 2m slots at the documented bound 3*m*p^2 leave p - 1 in every slot
+        # above x^m, and g = (p - 1) * (1 + x + ... + x^(m-1)) folds most
+        ring = fields._ring(p, m)
+        slots = [3 * m * p * p - 1] * (2 * m)
+        t = sum(v << (i * ring.w) for i, v in enumerate(slots))
+        want = _pmod(tuple(v % p for v in slots), (1,) * (m + 1), p)
+        assert tuple(ring.unpack(ring.reduce(t, ring.pack([p - 1] * m)))) == want
+
+    @pytest.mark.parametrize("p,m", _HEADROOM + [(2, 240)])
+    def test_minor_and_dot_at_the_largest_coefficients(self, p, m):
+        ring, top = fields._ring(p, m), (p - 1,) * m
+        big = g = ring.pack(top)
+        f = (1,) * (m + 1)  # x^m - g
+        for a, b, c, d in [(big, big, big, 0), (big, big, big, big), (big, 1, 0, big)]:
+            ra, rb, rc, rd = (ring.unpack(v) for v in (a, b, c, d))
+            want = _pmod(_psub(_pmul(ra, rb, p), _pmul(rc, rd, p), p), f, p)
+            assert tuple(ring.unpack(ring.minor(a, b, c, d, g))) == want
+        want = _pmod(_pmul((3,), _pmul(top, top, p), p), f, p)
+        assert tuple(ring.unpack(ring.dot(big, big, big, big, big, big, g))) == want
+        assert tuple(ring.unpack(ring.mul(big, big, g))) == _pmod(_pmul(top, top, p), f, p)
