@@ -36,33 +36,16 @@ class FieldCapability(_Record):
     __slots__ = ("kind", "q", "labels")
 
     def __init__(self, kind: str, q: int | None = None, labels: frozenset[str] = frozenset()):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "labels", labels)
+        self._set(kind, q, labels)
         if kind not in ("finite", "number_field", "custom"):
             raise ValueError(f"unknown capability kind {kind!r}")
         if kind == "finite":
-            from .fields import MAX_BASE_FIELD  # here, so that aut-table does not load fields
+            from .fields import MAX_BASE_FIELD, _prime_power  # here: aut-table loads no fields
 
             if isinstance(q, int) and q > MAX_BASE_FIELD:
                 raise ValueError("finite capability needs q at most 2^40")
             if _prime_power(q) is None:
                 raise ValueError("finite capability needs a prime-power q")
-
-
-def _prime_power(q) -> tuple[int, int] | None:
-    if not isinstance(q, int) or q < 2:
-        return None
-    p = 2
-    while p * p <= q and q % p:
-        p += 1
-    if p * p > q:
-        p = q  # no divisor up to the square root: q is prime
-    e = 0
-    while q % p == 0:
-        q //= p
-        e += 1
-    return (p, e) if q == 1 else None
 
 
 def finite(q: int) -> FieldCapability:
@@ -105,9 +88,7 @@ class AutDescription(_Record):
     __slots__ = ("label", "group_name", "aut_group")
 
     def __init__(self, label: ClassLabel, group_name: str, aut_group: Subgroup):
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "group_name", group_name)
-        object.__setattr__(self, "aut_group", aut_group)
+        self._set(label, group_name, aut_group)
         if group_name not in _GROUP_NAME_ORDERS:
             raise ValueError(f"unknown group name {group_name!r}")
         if aut_group.order != _GROUP_NAME_ORDERS[group_name]:

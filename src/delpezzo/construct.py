@@ -76,8 +76,7 @@ class PlanePoint(_Record):
     def __init__(self, spec: FieldSpec, coords: tuple[FFElem, FFElem, FFElem]):
         if len(coords) != 3 or any(c.spec is not spec and c.spec != spec for c in coords):
             raise ValueError("a plane point needs three coordinates in one field")
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "coords", _normalized(coords))
+        self._set(spec, _normalized(coords))
 
     def apply_frobenius(self) -> "PlanePoint":
         return PlanePoint(self.spec, tuple(frobenius(c) for c in self.coords))
@@ -135,9 +134,7 @@ class PointConfig(_Record):
     __slots__ = ("spec", "points", "on_conic")
 
     def __init__(self, spec: FieldSpec, points: tuple[PlanePoint, ...], on_conic: bool = False):
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "on_conic", on_conic)
+        self._set(spec, points, on_conic)
         if any(p.spec is not spec and p.spec != spec for p in points):
             raise ValueError("mismatched point fields")
         if len({p.coords for p in points}) != len(points):
@@ -304,13 +301,7 @@ class SurfaceModel(_Record):
     def __init__(self, degree: int, spec: FieldSpec, config: PointConfig, frobenius_perm: Perm,
                  type_label: ClassLabel, construction: str,
                  blowdown_vertex: frozenset[int] | None = None):
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "config", config)
-        object.__setattr__(self, "frobenius_perm", frobenius_perm)
-        object.__setattr__(self, "type_label", type_label)
-        object.__setattr__(self, "construction", construction)
-        object.__setattr__(self, "blowdown_vertex", blowdown_vertex)
+        self._set(degree, spec, config, frobenius_perm, type_label, construction, blowdown_vertex)
         if degree not in (5, 6):
             raise ValueError("unsupported degree")
         if construction not in CONSTRUCTION_TAGS:

@@ -39,9 +39,7 @@ class CurveGraph(_Record):
 
     def __init__(self, degree_context: int, vertices: tuple[frozenset[int], ...],
                  adjacency: tuple[tuple[bool, ...], ...]):
-        object.__setattr__(self, "degree_context", degree_context)
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "adjacency", adjacency)
+        self._set(degree_context, vertices, adjacency)
 
     @property
     def n(self) -> int:
@@ -86,8 +84,7 @@ class VertexPerm(_Record):
     __slots__ = ("graph", "perm")
 
     def __init__(self, graph: CurveGraph, perm: Perm):
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "perm", perm)
+        self._set(graph, perm)
         adj = graph.adjacency
         if perm.degree != graph.n:
             raise ValueError("degree mismatch")

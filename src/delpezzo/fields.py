@@ -17,7 +17,8 @@ arithmetic happens inside this one common field; base-field membership is
 
 No randomness and no floating point: irreducibility is tested with
 gcd(f, x^(p^k) - x) for k <= m/2 (Ben-Or), after a sieve that drops the
-candidates x^m + h + c with a root in F_p a line (all c in F_p) at a time, and
+candidates x^m + h + c with a root in F_p a line (all c in F_p) at a time
+(and the line of binomials where none is irreducible), and
 Frobenius maps are applied as sums of cached packed columns (x^(q^k))^j mod f,
 so repeated orbit scans stay cheap.
 """
@@ -282,15 +283,20 @@ def _span(ring: _Fp, rows, width: int = 1) -> Iterator[list[int]]:
             return
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+def _prime_power(q) -> tuple[int, int] | None:
+    """(p, e) with q = p^e for a prime p, by trial division; None for any other q."""
+    if not isinstance(q, int) or q < 2:
+        return None
+    p = 2
+    while p * p <= q and q % p:
+        p += 1
+    if p * p > q:
+        p = q  # no divisor up to the square root: q is prime
+    e = 0
+    while q % p == 0:
+        q //= p
+        e += 1
+    return (p, e) if q == 1 else None
 
 
 # --- field descriptors and elements ------------------------------------------
@@ -307,7 +313,7 @@ class FieldSpec:
     __slots__ = ("p", "m", "modulus", "base_degree", "_r", "_f", "_g", "_frob", "_kernels")
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...], base_degree: int):
-        if not _is_prime(p):
+        if _prime_power(p) != (p, 1):
             raise ValueError("p is not prime")
         if m < 1 or base_degree < 1 or m % base_degree:
             raise ValueError("base degree must divide the absolute degree")
@@ -361,19 +367,28 @@ class FieldSpec:
 @lru_cache(maxsize=None)
 def make_field(p: int, base_degree: int, relative_degree: int) -> FieldSpec:
     """The canonical F_{q^n} over F_q, q = p^base_degree, n = relative_degree."""
-    if not _is_prime(p):
+    if _prime_power(p) != (p, 1):
         raise ValueError("p is not prime")
     if base_degree < 1 or relative_degree < 1:
         raise ValueError("degrees must be positive")
     m = base_degree * relative_degree
+    return FieldSpec(p, m, _modulus(p, m), base_degree)
+
+
+@lru_cache(maxsize=None)
+def _modulus(p: int, m: int) -> tuple[int, ...]:
+    """The canonical modulus of degree m over F_p, searched once per (p, m); make_field
+    stays cached per triple, as each FieldSpec owns its Frobenius tables."""
     ring = _ring(p, m)
     lead = 1 << (m * ring.w)
     sieve = 1 < m and p * m < _SIEVE_CUT  # at m = 1 every x + c has a root, yet x is irreducible
     for h, in _span(ring, [(1 << (i * ring.w),) for i in range(1, m)]):  # index order, c fastest
+        if not h and m % 4 == 0 and p % 4 == 3:
+            continue  # no x^m + c is irreducible (Lidl & Niederreiter, Theorem 3.75)
         rooted = ring.rooted(lead + h) if sieve else ()
         for c in range(p):
             if c not in rooted and _is_irreducible(p, m, lead + h + c):
-                return FieldSpec(p, m, tuple(ring.unpack(lead + h + c)), base_degree)
+                return tuple(ring.unpack(lead + h + c))
     raise RuntimeError("unreachable: an irreducible of every degree exists")
 
 

@@ -36,7 +36,45 @@ from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 
-class Perm:
+class _Record:
+    """A frozen value whose fields are the ``__slots__`` of its class.
+
+    ``__init__`` sets every field once, with one ``_set`` call; equality, hash
+    and repr run over the field tuple, as those of a frozen dataclass do
+    (``Perm`` and ``Subgroup`` keep their own).  Every record has at least
+    two fields, so ``_fields`` gives a tuple.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = attrgetter(*cls.__slots__)  # _fields(record): the field tuple
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def _set(self, *values) -> None:
+        """Set the fields, in ``__slots__`` order, past the guard below."""
+        for setter, value in zip(self._setters, values):
+            setter(self, value)
+
+    def __setattr__(self, *args):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields(self) == other._fields(other)
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Perm(_Record):
     """A permutation of {1, .., degree}, stored as a 0-indexed image tuple."""
 
     __slots__ = ("degree", "images")
@@ -45,21 +83,14 @@ class Perm:
         images = tuple(images)
         if sorted(images) != list(range(len(images))):
             raise ValueError("images is not a bijection")
-        object.__setattr__(self, "degree", len(images))
-        object.__setattr__(self, "images", images)
+        self._set(len(images), images)
 
     @classmethod
     def _unchecked(cls, images: tuple[int, ...]) -> "Perm":
         """A Perm on an image tuple already known to be a bijection (products, closures)."""
         perm = object.__new__(cls)
-        object.__setattr__(perm, "degree", len(images))
-        object.__setattr__(perm, "images", images)
+        perm._set(len(images), images)
         return perm
-
-    def __setattr__(self, *args):
-        raise AttributeError("Perm is immutable")
-
-    __delattr__ = __setattr__
 
     @classmethod
     def identity(cls, degree: int) -> "Perm":
@@ -186,65 +217,26 @@ def parse_generators(text: str, degree: int) -> tuple[Perm, ...]:
     return tuple(parse_perm(part, degree) for part in parts)
 
 
-class _Record:
-    """A frozen value whose fields are the ``__slots__`` of its class.
-
-    ``__init__`` sets each field once with ``object.__setattr__``; equality,
-    hash and repr run over the field tuple, as those of a frozen dataclass
-    do.  Every record has at least two fields, so ``_fields`` gives a tuple.
-    """
-
-    __slots__ = ()
-
-    def __init_subclass__(cls):
-        cls._fields = attrgetter(*cls.__slots__)  # _fields(record): the field tuple
-
-    def __setattr__(self, *args):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields(self) == other._fields(other)
-
-    def __hash__(self) -> int:
-        return hash(self._fields(self))
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__qualname__}({fields})"
-
-
 class ClassLabel(_Record):
     """Canonical name of a conjugacy class of subgroups, e.g. "[<(1,2)>]"."""
 
     __slots__ = ("degree_context", "name")
 
     def __init__(self, degree_context: int, name: str):
-        object.__setattr__(self, "degree_context", degree_context)
-        object.__setattr__(self, "name", name)
+        self._set(degree_context, name)
 
     def __str__(self) -> str:
         return self.name
 
 
-class Subgroup:
+class Subgroup(_Record):
     """An explicit subgroup: generators plus the full, canonically sorted closure."""
 
     __slots__ = ("degree", "generators", "elements", "_members")
 
     def __init__(self, degree: int, generators: Sequence[Perm], elements: Sequence[Perm]):
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "generators", tuple(generators))
-        object.__setattr__(self, "elements", tuple(sorted(elements)))
-        object.__setattr__(self, "_members", frozenset(self.elements))
-
-    def __setattr__(self, *args):
-        raise AttributeError("Subgroup is immutable")
-
-    __delattr__ = __setattr__
+        elements = tuple(sorted(elements))
+        self._set(degree, tuple(generators), elements, frozenset(elements))
 
     @property
     def order(self) -> int:

@@ -31,8 +31,7 @@ class PicClass(_Record):
     __slots__ = ("degree_context", "coords")
 
     def __init__(self, degree_context: int, coords: tuple[int, ...]):
-        object.__setattr__(self, "degree_context", degree_context)
-        object.__setattr__(self, "coords", coords)
+        self._set(degree_context, coords)
         if degree_context not in _RANK:
             raise ValueError("unsupported degree")
         if len(coords) != _RANK[degree_context]:
@@ -151,8 +150,7 @@ class LatticeAction(_Record):
     __slots__ = ("degree_context", "matrix")
 
     def __init__(self, degree_context: int, matrix: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "degree_context", degree_context)
-        object.__setattr__(self, "matrix", matrix)
+        self._set(degree_context, matrix)
         n = _RANK[degree_context]
         if len(matrix) != n or any(len(r) != n for r in matrix):
             raise ValueError("wrong matrix shape")

@@ -62,10 +62,7 @@ class CheckResult(_Record):
     __slots__ = ("name", "ok", "seconds", "detail")
 
     def __init__(self, name: str, ok: bool, seconds: float, detail: str):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "seconds", seconds)
-        object.__setattr__(self, "detail", detail)
+        self._set(name, ok, seconds, detail)
 
 
 def _run_cli(*argv: str, stdin: str = "") -> tuple[int, str]:

@@ -5,6 +5,7 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -997,3 +998,16 @@ class TestRealizeVerifyProperty:
         failed = [check for check in verify_json(data) if not check[1]]
         assert failed == [], (literal, case)
         assert model_from_json(data).to_json() == data
+
+
+# library errors that no other test reaches, with their exact text
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: dp5_from_four_points(PointConfig(F7, tuple(
+        plane_point(F7, *xyz) for xyz in [(1, 0, 0), (0, 1, 0), (0, 0, 1)]))),
+                 "the four-point construction needs exactly 4 points", id="dp5_from_four_points"),
+    pytest.param(lambda: small_field_realize(F2, "[Z/5Z]"),
+                 "no small-field construction for type [Z/5Z]", id="small_field_realize"),
+])
+def test_library_errors(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -257,3 +258,16 @@ class TestDot:
     def test_hexagon_dot(self):
         text = C.to_dot(C.curve_graph(6))
         assert text.count(" -- ") == 6
+
+
+# library errors that no other test reaches, with their exact text
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: C.graph_action(Perm(range(4))), "expected an element of S5",
+                 id="graph_action"),
+    pytest.param(lambda: C.graph_action(Perm(range(5))) * C.VertexPerm(C.curve_graph(6),
+                                                                        Perm(range(6))),
+                 "vertex permutations of different graphs", id="product"),
+])
+def test_library_errors(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -478,6 +478,29 @@ class TestModulusSearch:
         assert rooted == (len(_pgcd(f, _psub(_ppowmod((0, 1), p, f, p), (0, 1), p), p)) > 1)
         assert not (rooted and m > 1 and _is_irreducible(f, p))
 
+    @pytest.mark.parametrize("field, modulus", [
+        ((8191, 3, 4), (12, 1) + (0,) * 10 + (1,)),
+        ((65519, 1, 4), (13, 1, 0, 0, 1)),
+    ])
+    def test_no_binomial_is_tested_where_none_is_irreducible(self, monkeypatch, field, modulus):
+        # 4 | m and p = 3 mod 4: the whole line x^m + c is skipped, not its
+        # p candidates tested one by one (8 191 and 65 519 tests)
+        calls = []
+        irreducible = fields._is_irreducible
+        monkeypatch.setattr(fields, "_modulus", fields._modulus.__wrapped__)
+        monkeypatch.setattr(fields, "_is_irreducible", lambda *args: calls.append(args)
+                            or irreducible(*args))
+        assert fields.make_field.__wrapped__(*field).modulus == modulus
+        assert len(calls) <= 20
+
+    def test_one_search_per_p_and_m(self, monkeypatch):
+        spec = make_field(3, 1, 4)
+        calls = []
+        span = fields._span
+        monkeypatch.setattr(fields, "_span", lambda *args: calls.append(args) or span(*args))
+        assert fields.make_field.__wrapped__(3, 2, 2).modulus == spec.modulus
+        assert calls == []
+
 
 # (p, m) with the least headroom for a sum of products: 2^(w-1) / (4 m p^2)
 # is smallest when p - 1 and m lie just below powers of 2 (8191 and 15: 94 %)
@@ -507,3 +530,12 @@ class TestSumsOfProducts:
         want = _pmod(_pmul((3,), _pmul(top, top, p), p), f, p)
         assert tuple(ring.unpack(ring.dot(big, big, big, big, big, big, g))) == want
         assert tuple(ring.unpack(ring.mul(big, big, g))) == _pmod(_pmul(top, top, p), f, p)
+
+
+# library errors that no other test reaches, with their exact text
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: make_field(2, 0, 1), "degrees must be positive", id="make_field"),
+])
+def test_library_errors(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -450,3 +451,23 @@ class TestCyclicGenerator:
 
     def test_trivial(self):
         assert P.cyclic_generator(P.generate([], degree=5)) == Perm.identity(5)
+
+
+# library errors that no other test reaches, with their exact text
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: Perm(range(5))(6), "point 6 out of range 1..5", id="point"),
+    pytest.param(lambda: Perm(range(5)) * Perm(range(4)), "degree mismatch", id="product"),
+    pytest.param(lambda: P.centralizer(P.generate([], 6)),
+                 "centralizer is taken inside S5; expected degree 5", id="centralizer"),
+    pytest.param(lambda: P.hexagon_restriction(P.parse_perm("(1 4)", 5)),
+                 "not in stabilizer", id="hexagon_restriction"),
+    pytest.param(lambda: P.hex_embed_s5(Perm([1, 0]), 0),
+                 "the S3 factor must be a permutation of degree 3", id="hex_embed_s5"),
+    pytest.param(lambda: P.hex_decompose(Perm(range(5))),
+                 "expected a vertex permutation of degree 6", id="hex_decompose"),
+    pytest.param(lambda: P.class_representative("[e]"),
+                 "degree_context is required with a string label", id="class_representative"),
+])
+def test_library_errors(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -248,3 +249,17 @@ class TestMinimality:
         g = P.generate([P.parse_perm("(1 2)", 5)])
         gal = P.generate([P.parse_perm("(4 5)", 5)])
         assert L.is_g_minimal(g, gal) is False
+
+
+# library errors that no other test reaches, with their exact text
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: L.e_class(5, 5), "no exceptional class E5 in degree 5", id="e_class"),
+    pytest.param(lambda: L.induced_lattice_action(P.Perm(range(4))), "expected an element of S5",
+                 id="induced_lattice_action"),
+    pytest.param(lambda: L.invariant_rank(P.generate([], 6)), "expected a subgroup of S5",
+                 id="invariant_rank"),
+    pytest.param(lambda: L.h_class(5) + L.h_class(6), "mismatched degree contexts", id="sum"),
+])
+def test_library_errors(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

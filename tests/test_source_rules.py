@@ -224,3 +224,29 @@ def test_unchecked_perm_constructor_stays_inside_perms():
 def test_the_unchecked_rule_sees_a_use():
     source = "def parse_x(t):\n    return Perm._unchecked(t)\nq = _unchecked(())\n"
     assert sorted(_unchecked_perm_uses(source), key=str) == [(2, "parse_x"), (3, None)]
+
+
+def _object_setattr_uses(source):
+    """Line numbers of every reference to object.__setattr__, called or not."""
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+                and isinstance(node.value, ast.Name) and node.value.id == "object"):
+            yield node.lineno
+
+
+def test_frozen_values_set_their_fields_through_record_set():
+    # perms._Record._set is the one place a record, Perm or Subgroup sets its
+    # fields past the immutability guard; fields imports nothing from the
+    # package, so FieldSpec and FFElem keep their own setters
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py")) if path.name != "fields.py"
+        for line in _object_setattr_uses(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []
+
+
+def test_the_setattr_rule_sees_a_use():
+    source = ("object.__setattr__(self, 'a', 1)\nset_field = object.__setattr__\n"
+              "self._set(1)\nsuper().__setattr__('a', 1)\n")
+    assert sorted(_object_setattr_uses(source)) == [1, 2]
