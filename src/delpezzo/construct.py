@@ -19,7 +19,6 @@ over every finite field.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from math import isinf, lcm
 
@@ -34,7 +33,6 @@ from .fields import (
     make_field,
     one,
     parse_field_literal,
-    subfield_elements,
     zero,
 )
 from .perms import (
@@ -155,6 +153,8 @@ def conic_config(betas) -> PointConfig:
     betas = tuple(betas)
     if len(set(betas)) != len(betas):
         raise ValueError("conic parameters must be distinct")
+    if not betas:  # general_position's own rule, before betas[0] is read
+        raise ValueError("general position needs at least three points")
     spec = betas[0].spec
     config = PointConfig(spec, tuple(conic_point(spec, b) for b in betas), on_conic=True)
     # a line meets a smooth conic in at most two points; checked, not assumed
@@ -347,14 +347,8 @@ def dp5_from_four_points(config: PointConfig) -> SurfaceModel:
 
 # --- small-field four-point realizations -------------------------------------
 
-def _base_plane_points(work: FieldSpec):
-    """All plane points with base-field coordinates, in canonical order."""
-    scalars = subfield_elements(work)
-    for triple in itertools.product(scalars, repeat=3):
-        if any(triple):
-            point = PlanePoint(work, triple)
-            if point.coords == triple:
-                yield point
+# The relative degree of the working field of each small-field type.
+_SMALL_FIELD_DEGREES = {"[e]": 1, "[<(1,2)>]": 2, "[<(1,2)(3,4)>]": 2, "[Z/3Z]": 3}
 
 
 def small_field_realize(base: FieldSpec, label: ClassLabel | str) -> SurfaceModel:
@@ -367,46 +361,24 @@ def small_field_realize(base: FieldSpec, label: ClassLabel | str) -> SurfaceMode
     """
     rep = class_representative(label, 5)
     name = _type_labels(rep, 5)[0].name
-    p, e = base.p, base.base_degree
-    if name == "[e]":
-        work = make_field(p, e, 1)
-        pts = [
-            plane_point(work, 1, 0, 0),
-            plane_point(work, 0, 1, 0),
-            plane_point(work, 0, 0, 1),
-            plane_point(work, 1, 1, 1),
-        ]
-    elif name == "[<(1,2)>]":
-        work = make_field(p, e, 2)
-        w = next(elements_of_degree(work, 2))
-        pts = [
-            plane_point(work, 1, 0, 0),
-            plane_point(work, 0, 0, 1),
-            PlanePoint(work, (one(work), w, one(work))),
-            PlanePoint(work, (one(work), frobenius(w), one(work))),
-        ]
-    elif name == "[<(1,2)(3,4)>]":
-        work = make_field(p, e, 2)
-        w = next(elements_of_degree(work, 2))
-        o, z = one(work), zero(work)
-        pts = [
-            PlanePoint(work, (o, w, z)),
-            PlanePoint(work, (o, frobenius(w), z)),
-            PlanePoint(work, (o, z, w)),
-            PlanePoint(work, (o, z, frobenius(w))),
-        ]
-    elif name == "[Z/3Z]":
-        work = make_field(p, e, 3)
-        b = next(elements_of_degree(work, 3))
-        triple = [conic_point(work, b), conic_point(work, frobenius(b)),
-                  conic_point(work, frobenius(b, 2))]
-        pts = next((triple + [candidate] for candidate in _base_plane_points(work)
-                    if general_position(triple + [candidate])), None)
-        if pts is None:
-            raise AssertionError("internal error: no rational point completes the triple")
-    else:
+    if name not in _SMALL_FIELD_DEGREES:
         raise ValueError(f"no small-field construction for type {name}")
-    return dp5_from_four_points(PointConfig(work, tuple(pts)))
+    degree = _SMALL_FIELD_DEGREES[name]
+    work = make_field(base.p, base.base_degree, degree)
+    w = next(elements_of_degree(work, degree))
+    o, z, f = one(work), zero(work), frobenius(w)
+    rows = {
+        "[e]": [(o, z, z), (z, o, z), (z, z, o), (o, o, o)],
+        "[<(1,2)>]": [(o, z, z), (z, z, o), (o, w, o), (o, f, o)],
+        "[<(1,2)(3,4)>]": [(o, w, z), (o, f, z), (o, z, w), (o, z, f)],
+        # A rational point R on the line through P and Frob(P) lies on its
+        # Frobenius image, the line through Frob(P) and Frob^2(P), too; the two
+        # lines differ (no three conic points are collinear) and meet only in
+        # Frob(P), which is not rational.  So every rational point completes
+        # the triple, and (0:0:1) is the first in canonical order.
+        "[Z/3Z]": [(o, b, b * b) for b in (w, f, frobenius(f))] + [(z, z, o)],
+    }[name]
+    return dp5_from_four_points(PointConfig(work, tuple(PlanePoint(work, r) for r in rows)))
 
 
 # --- realization dispatchers ---------------------------------------------------
@@ -514,73 +486,50 @@ def model_from_json(data: dict) -> SurfaceModel:
 def verify_json(data: dict) -> list[tuple[str, bool, str]]:
     """Independent re-checks of a serialized model; one (name, ok, detail) per check."""
     checks: list[tuple[str, bool, str]] = []
+
+    def check(name: str, ok: bool, detail: str = "") -> bool:
+        checks.append((name, ok, "" if ok else detail))
+        return ok
+
     try:
         model = model_from_json(data)
-        checks.append(("model parses", True, ""))
     except (ValueError, KeyError, TypeError, OverflowError) as err:
-        checks.append(("model parses", False, str(err)))
+        check("model parses", False, str(err))
         return checks
+    check("model parses", True)
 
-    n = len(model.config)
-    checks.append((
-        "point count", n in (4, 5),
-        f"{n} points" if n not in (4, 5) else "",
-    ))
+    config, n = model.config, len(model.config)
+    check("point count", n in (4, 5), f"{n} points")
     wants_conic = model.construction.startswith("conic5")
-    tag_ok = (n == 5 and model.config.on_conic) if wants_conic else (
-        n == 4 and not model.config.on_conic
-    )
-    checks.append((
-        "construction tag consistent", tag_ok,
-        "" if tag_ok else f"{model.construction!r} with {n} points, on_conic={model.config.on_conic}",
-    ))
+    check("construction tag consistent",
+          n == (5 if wants_conic else 4) and config.on_conic == wants_conic,
+          f"{model.construction!r} with {n} points, on_conic={config.on_conic}")
 
     try:
-        tau = frobenius_permutation(model.config)
-        stable = True
-        checks.append(("frobenius stability", True, ""))
+        tau = frobenius_permutation(config)
     except ValueError as err:
-        stable = False
-        checks.append(("frobenius stability", False, str(err)))
-    if stable:
-        ok = tau == model.frobenius_perm
-        checks.append((
-            "frobenius permutation matches", ok,
-            "" if ok else f"recomputed {tau.cycle_string()}",
-        ))
-
-    try:
-        gp = general_position(model.config.points)
-    except ValueError as err:
-        gp = False
-        checks.append(("general position", False, str(err)))
+        stable = check("frobenius stability", False, str(err))
     else:
-        checks.append(("general position", gp, "" if gp else "three points collinear"))
+        stable = check("frobenius stability", True)
+        ok = tau == model.frobenius_perm
+        # the cycle string is built only for a FAIL
+        check("frobenius permutation matches", ok, "" if ok else f"recomputed {tau.cycle_string()}")
 
-    if model.config.on_conic:  # model_from_json's PointConfig tested every point
-        checks.append(("conic membership", True, ""))
+    try:
+        gp = check("general position", general_position(config.points), "three points collinear")
+    except ValueError as err:
+        gp = check("general position", False, str(err))
+
+    if config.on_conic:  # model_from_json's PointConfig tested every point
+        check("conic membership", True)
 
     if stable and gp and n in (4, 5):
         try:
-            if model.degree == 5:
-                recomputed = _s5_label(tau)
-                ok = recomputed == model.type_label
-                checks.append((
-                    "type matches", ok, "" if ok else f"recomputed {recomputed.name}",
-                ))
-            else:
-                induced = next((label for vertex, label in _blowdown_types(_s5_image(tau))
-                                if vertex == model.blowdown_vertex), None)
-                invariant = induced is not None
-                checks.append((
-                    "blow-down vertex invariant", invariant,
-                    "" if invariant else "vertex moved by the Galois image",
-                ))
-                if invariant:
-                    ok = induced == model.type_label
-                    checks.append((
-                        "type matches", ok, "" if ok else f"recomputed {induced.name}",
-                    ))
+            induced = (_s5_label(tau) if model.degree == 5
+                       else dict(_blowdown_types(_s5_image(tau))).get(model.blowdown_vertex))
+            if model.degree == 5 or check("blow-down vertex invariant", induced is not None,
+                                          "vertex moved by the Galois image"):
+                check("type matches", induced == model.type_label, f"recomputed {induced.name}")
         except (ValueError, AssertionError) as err:
-            checks.append(("type matches", False, str(err)))
+            check("type matches", False, str(err))
     return checks

@@ -5,12 +5,15 @@ cross product among the triples through that pair; here every triple gets its
 own determinant, built from ``FFElem`` arithmetic, and nothing is shared.
 ``frobenius_permutation`` and ``on_conic`` work on packed ints too; here the
 image of each point is ``PlanePoint.apply_frobenius``, normalized again, and
-the conic equation is a product of ``FFElem`` values.
+the conic equation is a product of ``FFElem`` values.  ``_base_plane_points``
+lists every rational plane point, for the claim that any of them completes a
+cubic conic triple in ``small_field_realize``.
 """
 
 import itertools
 
-from delpezzo.fields import zero
+from delpezzo.construct import PlanePoint
+from delpezzo.fields import subfield_elements, zero
 from delpezzo.perms import Perm
 
 
@@ -46,3 +49,13 @@ def on_conic(point):
     """y^2 = x*z in ``FFElem`` arithmetic."""
     x, y, z = point.coords
     return y * y == x * z
+
+
+def _base_plane_points(work):
+    """All plane points with base-field coordinates, in canonical order."""
+    scalars = subfield_elements(work)
+    for triple in itertools.product(scalars, repeat=3):
+        if any(triple):
+            point = PlanePoint(work, triple)
+            if point.coords == triple:
+                yield point

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_construct import (
+    _base_plane_points,
     cross,
     frobenius_permutation as reference_frobenius_permutation,
     general_position as reference_general_position,
@@ -39,7 +40,6 @@ from delpezzo.construct import (
     realize_dp6,
     small_field_realize,
     verify_json,
-    _base_plane_points,
     _normalized,
     _points_with_action_stats,
 )
@@ -494,6 +494,28 @@ class TestFourPointModels:
                                 zero(work))
                     assert value != zero(work)
 
+    @pytest.mark.parametrize("literal", ["2^40", "3^25"])
+    def test_conic_triple_over_a_large_field_is_bounded_work(self, literal):
+        # the fourth point is (0:0:1), read off without listing the q base
+        # scalars; the child gets the 256 MiB address-space cap and the 60 s
+        # timeout of test_cli.run_address_limited
+        import resource
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+        script = (
+            "from delpezzo.construct import small_field_realize\n"
+            "from delpezzo.fields import parse_field_literal\n"
+            f"model = small_field_realize(parse_field_literal({literal!r}), '[Z/3Z]')\n"
+            "print(model.type_label.name, model.config.points[3])\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(delpezzo.__file__).parent.parent))
+        proc = subprocess.run([sys.executable, "-c", script], preexec_fn=limit,
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[Z/3Z] (0:0:1)\n"
+
 
 class TestRealizeDp5:
     def test_round_trip_every_cyclic_class_and_field(self):
@@ -906,6 +928,7 @@ def _assert_check_list(checks):
     assert isinstance(checks, list) and checks
     for name, ok, detail in checks:
         assert isinstance(name, str) and isinstance(ok, bool) and isinstance(detail, str)
+        assert ok == (detail == "")  # a detail exactly on a FAIL
 
 
 class TestVerifyProperties:
@@ -1007,6 +1030,8 @@ class TestRealizeVerifyProperty:
                  "the four-point construction needs exactly 4 points", id="dp5_from_four_points"),
     pytest.param(lambda: small_field_realize(F2, "[Z/5Z]"),
                  "no small-field construction for type [Z/5Z]", id="small_field_realize"),
+    pytest.param(lambda: conic_config([]),
+                 "general position needs at least three points", id="conic_config"),
 ])
 def test_library_errors(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

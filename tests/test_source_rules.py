@@ -250,3 +250,33 @@ def test_the_setattr_rule_sees_a_use():
     source = ("object.__setattr__(self, 'a', 1)\nset_field = object.__setattr__\n"
               "self._set(1)\nsuper().__setattr__('a', 1)\n")
     assert sorted(_object_setattr_uses(source)) == [1, 2]
+
+
+_WHOLE_FIELD_LISTS = ("subfield_elements", "field_elements")
+
+
+def _whole_field_uses(source):
+    """Line numbers of every reference to a whole-field listing, called or not."""
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr in _WHOLE_FIELD_LISTS
+                or isinstance(node, ast.Name) and node.id in _WHOLE_FIELD_LISTS):
+            yield node.lineno
+
+
+def test_only_fields_lists_a_whole_field():
+    # subfield_elements and field_elements build every element of a field;
+    # over 2^40 or 3^25 that never finishes, so the other modules reach
+    # elements through elements_of_degree or fixed coordinates instead
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py")) if path.name != "fields.py"
+        for line in _whole_field_uses(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []
+
+
+def test_the_whole_field_rule_sees_a_use():
+    source = ("xs = subfield_elements(spec)\nfor x in fields.field_elements(spec):\n    pass\n"
+              "listing = subfield_elements\nelements_of_degree(spec, 1)\n"
+              "names = ('field_elements',)\n")
+    assert sorted(_whole_field_uses(source)) == [1, 2, 4]
