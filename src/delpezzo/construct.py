@@ -385,9 +385,21 @@ def small_field_realize(base: FieldSpec, label: ClassLabel | str) -> SurfaceMode
 
 def realize_dp5(base: FieldSpec, label: ClassLabel | str) -> SurfaceModel:
     """A degree-5 model of the requested type over the given finite field."""
-    rep = class_representative(label, 5)
+    return _model5(base.p, base.base_degree, class_representative(label, 5))
+
+
+@lru_cache(maxsize=None)
+def _model5(p: int, base_degree: int, rep: Subgroup) -> SurfaceModel:
+    """The degree-5 model of a representative, built and checked once per process.
+
+    The construction reads only p and the base degree of the field, so every
+    spec of one base field shares the entry; models are immutable, and a
+    request that raises leaves no entry.  At most 7 keys (the cyclic types)
+    per base field.
+    """
     if not rep.is_cyclic:
         raise ValueError("not realizable: H must be cyclic over a finite field")
+    base = make_field(p, base_degree, 1)
     requested = _type_labels(rep, 5)[0]
     if base.q > _orbit_plan(rep)[1]:
         betas, _, gen_perm, _ = _points_with_action_stats(base, rep)

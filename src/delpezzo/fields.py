@@ -147,6 +147,12 @@ class _Fp:
             pivots.append((shift, self.norm(v * inv), self.norm(combo * inv)))
         return basis
 
+    def gcd(self, a: int, b: int) -> int:
+        """A gcd of a and b, by Euclid's remainders (not made monic)."""
+        while b:
+            a, b = b, self.divmod(a, b)[1]
+        return a
+
     def rooted(self, f: int) -> set[int]:
         """The c = -f(a), a in F_p, for which f + c has a root: Horner at all a at
         once.  f is monic, so ``unpack`` keeps its zero slots; slot 0 is clear."""
@@ -240,19 +246,21 @@ def _ring(p: int, m: int) -> _Fp:
 
 @lru_cache(maxsize=256)
 def _is_irreducible(p: int, m: int, f: int) -> bool:
-    """No root in any F_{p^k} for k <= m/2, via gcd with x^(p^k) - x.  Cached,
-    so the FieldSpec that make_field builds from the modulus it found does not
-    repeat the proof."""
+    """No factor of degree k <= m/2 (Ben-Or), batched: the x^(p^k) - x are
+    multiplied into one product mod f, and a gcd is taken only at k = 1, 2,
+    4, ... and m/2.  An irreducible factor of f divides the product mod f
+    exactly when it divides one of its terms, so each gcd tests every k up
+    to there.  Cached, so the FieldSpec that make_field builds from the
+    modulus it found does not repeat the proof."""
     ring = _ring(p, m)
     g = ring.sub(0, f - (1 << m * ring.w))
     x = t = 1 << ring.w
-    for _ in range(m // 2):
+    product = 1
+    for k in range(1, m // 2 + 1):
         t = ring.powmod(t, p, g)
-        a, b = f, ring.sub(t, x)
-        while b:
-            a, b = b, ring.divmod(a, b)[1]
-        if a >> ring.w:  # a common factor of positive degree
-            return False
+        product = ring.mul(product, ring.sub(t, x), g)
+        if (k & (k - 1) == 0 or k == m // 2) and ring.gcd(f, product) >> ring.w:
+            return False  # a common factor of positive degree
     return True
 
 

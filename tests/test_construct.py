@@ -354,6 +354,7 @@ class TestPointsWithAction:
                 yield acc
 
         monkeypatch.setattr(fields, "_span", counted)
+        construct._model5.cache_clear()  # a kept model would count no steps
         for literal in ("65521", "65521^2"):
             steps = 0
             realize_dp5(parse_field_literal(literal), "[Z/6Z]")
@@ -598,6 +599,44 @@ class TestRealizeDp6:
                 continue
             with pytest.raises(ValueError, match="must be cyclic over a finite field"):
                 realize_dp6(F4, name)
+
+
+class TestModelCache:
+    # each degree-5 model is built once per (p, base degree, type) and
+    # process; degree 6 blows down the kept model
+    @pytest.mark.parametrize("dp6_first", [False, True])
+    def test_degree_6_blows_down_the_kept_model(self, dp6_first):
+        label5 = construct._type_labels(class_representative("[Z/6]", 6), 6)[1]
+        construct._model5.cache_clear()
+        if dp6_first:
+            config = realize_dp6(F7, "[Z/6]").config
+            assert config is realize_dp5(F7, label5).config
+        else:
+            config = realize_dp5(F7, label5).config
+            assert config is realize_dp6(F7, "[Z/6]").config
+        assert construct._model5.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("realize,name,message", [
+        (realize_dp5, "[D4]", "must be cyclic over a finite field"),
+        (realize_dp5, "[Z/7Z]", "unknown class label"),
+        (realize_dp6, "[Z/2xZ/2]", "must be cyclic over a finite field"),
+    ])
+    def test_a_refused_type_raises_again_and_keeps_no_entry(self, realize, name, message):
+        size = construct._model5.cache_info().currsize
+        texts = []
+        for _ in range(2):
+            with pytest.raises(ValueError, match=re.escape(message)) as err:
+                realize(F7, name)
+            texts.append(str(err.value))
+        assert texts[0] == texts[1]
+        assert construct._model5.cache_info().currsize == size
+
+    def test_every_spec_of_one_base_field_shares_the_entry(self):
+        construct._model5.cache_clear()
+        first = realize_dp5(parse_field_literal("7"), "[Z/5Z]")
+        assert realize_dp5(parse_field_literal("7^2:base=1"), "[Z/5Z]") is first
+        info = construct._model5.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
 
 class TestJsonRoundTrip:

@@ -493,6 +493,34 @@ class TestModulusSearch:
         assert fields.make_field.__wrapped__(*field).modulus == modulus
         assert len(calls) <= 20
 
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_quintic_factors_of_a_degree_10_product_meet_the_last_gcd(self, p):
+        # the batched test takes its gcds at k = 1, 2, 4 and m/2 = 5, so only
+        # the last one sees the two smallest irreducible quintics
+        quintics = []
+        for index in range(p ** 5):
+            f = tuple(index // p ** i % p for i in range(5)) + (1,)
+            if _is_irreducible(f, p):
+                quintics.append(f)
+            if len(quintics) == 2:
+                break
+        irreducible = fields._is_irreducible.__wrapped__
+        for f in quintics:
+            assert irreducible(p, 5, fields._ring(p, 5).pack(f))
+        assert not irreducible(p, 10, fields._ring(p, 10).pack(_pmul(*quintics, p)))
+
+    def test_batched_gcds_of_the_3_25_working_field_search(self, monkeypatch):
+        # the modulus of 3^150 ([Z/6Z] over 3^25): 106 candidates reach the
+        # gcd test, which takes 355 gcds, one per power of 2 and at m/2,
+        # where one per k took 719
+        modulus, calls = make_field(3, 25, 6).modulus, []
+        gcd = fields._Fp.gcd
+        monkeypatch.setattr(fields, "_is_irreducible", fields._is_irreducible.__wrapped__)
+        monkeypatch.setattr(fields._Fp, "gcd",
+                            lambda ring, *args: calls.append(args) or gcd(ring, *args))
+        assert fields._modulus.__wrapped__(3, 150) == modulus
+        assert len(calls) == 355
+
     def test_one_search_per_p_and_m(self, monkeypatch):
         spec = make_field(3, 1, 4)
         calls = []

@@ -48,15 +48,24 @@ def test_realize_sweep_matches_golden():
 
 def test_realize_sweep_matches_golden_again_in_reverse():
     # the per-type tables of construct are filled by the first pass (or by
-    # earlier tests); a second pass in the other order reads them back
+    # earlier tests); a second pass in the other order reads them back.  The
+    # models are keyed by field too, so their cache starts empty here
+    construct._model5.cache_clear()
     golden = load("realize_sweep")
     replay_sweep(golden.items())
     replay_sweep(reversed(golden.items()))
-    # keyed by a permutation of degree 4 or 5, or by a subgroup of S5
+    # keyed by a permutation of degree 4 or 5, by a subgroup of S5, by a
+    # pinned representative (19 + 10 classes), or, the models, by (p, base
+    # degree, type): 23 fields x 7 cyclic types
     bounds = {construct._s5_image: 144, construct._s5_label: 144,
-              construct._blowdown_types: 156, construct._orbit_plan: 156}
+              construct._blowdown_types: 156, construct._orbit_plan: 156,
+              construct._type_labels: 29, construct._model5: 161}
     for cache, bound in bounds.items():
         assert 0 < cache.cache_info().currsize <= bound, cache.__name__
+    # a new cache in construct gets a bound here too
+    caches = {f for f in vars(construct).values()
+              if hasattr(f, "cache_info") and f.__module__ == construct.__name__}
+    assert caches <= bounds.keys(), sorted(f.__name__ for f in caches - bounds.keys())
 
 
 def test_cli_matches_golden(tmp_path, monkeypatch):
