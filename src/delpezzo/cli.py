@@ -205,7 +205,7 @@ def _clip(text: str) -> str:
 
 def _cmd_verify(args) -> int:
     from .construct import verify_json
-    from .fields import _MAX_DIGITS
+    from .perms import _MAX_DIGITS
 
     if args.input == "-":
         text = sys.stdin.read(_MAX_MODEL_CHARS + 1)

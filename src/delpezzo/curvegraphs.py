@@ -177,7 +177,7 @@ def blowdown_action(
         s for s in symmetric_group_elements(5) if s.apply_set({4, 5}) == v
     )
     conj_gens = [mover.inverse() * h * mover for h in group.generators]
-    sub6 = generate([hexagon_restriction(h) for h in conj_gens] or [], degree=6)
+    sub6 = generate([hexagon_restriction(h) for h in conj_gens], degree=6)
     return sub6, class_label(sub6, 6)
 
 

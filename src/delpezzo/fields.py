@@ -29,6 +29,8 @@ import re
 from functools import lru_cache
 from typing import Iterator
 
+from .perms import _MAX_DIGITS, _Record
+
 
 # --- polynomials over F_p as packed ints ------------------------------------
 
@@ -309,7 +311,7 @@ def _prime_power(q) -> tuple[int, int] | None:
 
 # --- field descriptors and elements ------------------------------------------
 
-class FieldSpec:
+class FieldSpec(_Record):
     """F_{p^m} = F_p[x]/(modulus), marked as an extension of F_{p^base_degree}.
 
     Immutable; equal and hashed by its four fields.  Its tables are slots too,
@@ -333,14 +335,8 @@ class FieldSpec:
         f = ring.pack(modulus)
         if not _is_irreducible(p, m, f):
             raise ValueError("modulus is reducible")
-        tables = (ring, f, ring.sub(0, f - (1 << m * ring.w)), {}, {})
-        for name, value in zip(self.__slots__, (p, m, modulus, base_degree, *tables)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, *args):
-        raise AttributeError("FieldSpec is immutable")
-
-    __delattr__ = __setattr__
+        g = ring.sub(0, f - (1 << m * ring.w))
+        self._set(p, m, modulus, base_degree, ring, f, g, {}, {})
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not FieldSpec:
@@ -406,8 +402,6 @@ MAX_CHARACTERISTIC = 2 ** 16
 MAX_BASE_FIELD = 2 ** 40
 MAX_RELATIVE_DEGREE = 6
 _LITERAL_RE = re.compile(r"([0-9]+)(?:\^([0-9]+)(?::base=([0-9]+))?)?")
-# Below 640, the lowest limit sys.set_int_max_str_digits accepts for int().
-_MAX_DIGITS = 600
 
 
 def parse_field_literal(text: str) -> FieldSpec:
@@ -436,7 +430,7 @@ def parse_field_literal(text: str) -> FieldSpec:
     return make_field(p, base, m // base)
 
 
-class FFElem:
+class FFElem(_Record):
     """An element of a FieldSpec field, held as one packed int ``_v``.
 
     ``FFElem(spec, coeffs)`` reduces little-endian coefficients mod p and mod
@@ -446,14 +440,8 @@ class FFElem:
 
     __slots__ = ("spec", "_v")
 
-    def __init__(self, spec: FieldSpec, coeffs):
-        _set_spec(self, spec)  # a product with 1 is reduced mod f
-        _set_v(self, spec._r.mul(spec._r.pack([c % spec.p for c in coeffs]), 1, spec._g))
-
-    def __setattr__(self, *args):
-        raise AttributeError("FFElem is immutable")
-
-    __delattr__ = __setattr__
+    def __init__(self, spec: FieldSpec, coeffs):  # a product with 1 is reduced mod f
+        self._set(spec, spec._r.mul(spec._r.pack([c % spec.p for c in coeffs]), 1, spec._g))
 
     def _other(self, other: "FFElem") -> int:
         if other.spec is not self.spec and other.spec != self.spec:
@@ -509,7 +497,7 @@ class FFElem:
         return f"FFElem({self.spec.literal()}, {list(self.coeffs)})"
 
 
-_set_spec, _set_v = FFElem.spec.__set__, FFElem._v.__set__
+_set_spec, _set_v = FFElem._setters
 
 
 def _elem(spec: FieldSpec, v: int) -> FFElem:

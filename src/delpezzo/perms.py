@@ -41,8 +41,9 @@ class _Record:
 
     ``__init__`` sets every field once, with one ``_set`` call; equality, hash
     and repr run over the field tuple, as those of a frozen dataclass do
-    (``Perm`` and ``Subgroup`` keep their own).  Every record has at least
-    two fields, so ``_fields`` gives a tuple.
+    (``Perm``, ``Subgroup``, ``fields.FieldSpec`` and ``fields.FFElem`` keep
+    their own).  Every record has at least two fields, so ``_fields`` gives
+    a tuple.
     """
 
     __slots__ = ()
@@ -572,29 +573,29 @@ def class_representative(label: ClassLabel | str, degree_context: int | None = N
 #    the whole count cover every class;
 # 3. tests/reference_perms.py::subgroups_by_pairs recomputes them by brute force.
 
-class _Lattice:
-    def __init__(self, degree_context: int):
-        reps = _pinned_classes(degree_context)[0].values()  # ValueError for other degrees
-        ambient = symmetric_group_elements(5) if degree_context == 5 else hexagon_group_elements()
-        tables = [
-            {h: g * h * g.inverse() for h in ambient}
-            for g in _reduced_generators(ambient, degree_context)
-        ]
-        found = [frozenset(rep.elements) for rep in reps]
-        seen = set(found)
-        for elements in found:  # grows while it is walked
-            for table in tables:
-                c = frozenset(table[h] for h in elements)
-                if c not in seen:
-                    seen.add(c)
-                    found.append(c)
-        self.subgroups = tuple(
-            Subgroup(degree_context, _reduced_generators(s, degree_context), s)
-            for s in sorted(found, key=lambda s: (len(s), sorted(s)))
-        )
+def _Lattice(degree_context: int) -> tuple[Subgroup, ...]:
+    """The subgroup lattice, built uncached; ``all_subgroups`` looks it up at call time."""
+    reps = _pinned_classes(degree_context)[0].values()  # ValueError for other degrees
+    ambient = symmetric_group_elements(5) if degree_context == 5 else hexagon_group_elements()
+    tables = [
+        {h: g * h * g.inverse() for h in ambient}
+        for g in _reduced_generators(ambient, degree_context)
+    ]
+    found = [frozenset(rep.elements) for rep in reps]
+    seen = set(found)
+    for elements in found:  # grows while it is walked
+        for table in tables:
+            c = frozenset(table[h] for h in elements)
+            if c not in seen:
+                seen.add(c)
+                found.append(c)
+    return tuple(
+        Subgroup(degree_context, _reduced_generators(s, degree_context), s)
+        for s in sorted(found, key=lambda s: (len(s), sorted(s)))
+    )
 
 
 @lru_cache(maxsize=None)
 def all_subgroups(degree_context: int) -> tuple[Subgroup, ...]:
     """Every subgroup of the ambient group (156 for degree 5, 16 for degree 6)."""
-    return _Lattice(degree_context).subgroups
+    return _Lattice(degree_context)

@@ -1,5 +1,6 @@
 """Automorphism table, realizability predicates, minimal existence."""
 
+import re
 import time
 
 import pytest
@@ -214,3 +215,13 @@ class TestGMinimalExists:
                 for h in cyclic_subgroups
             )
             assert g_minimal_exists(group, finite(3))[0] == brute
+
+
+# library errors that no other test reaches, with their exact text
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: g_minimal_exists(class_representative("[Z/3]", 6), finite(2)),
+                 "degree mismatch", id="g_minimal_exists"),
+])
+def test_library_errors(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -1071,6 +1071,8 @@ class TestRealizeVerifyProperty:
                  "no small-field construction for type [Z/5Z]", id="small_field_realize"),
     pytest.param(lambda: conic_config([]),
                  "general position needs at least three points", id="conic_config"),
+    pytest.param(lambda: points_with_action(F7, class_representative("[Z/6]", 6)),
+                 "degree mismatch", id="points_with_action"),
 ])
 def test_library_errors(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

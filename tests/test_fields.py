@@ -169,6 +169,9 @@ class TestFieldAxioms:
             del x.spec
         assert x == gen(make_field(3, 1, 2)) and hash(x) == hash(gen(make_field(3, 1, 2)))
 
+    def test_an_element_never_equals_an_int(self):
+        assert (FFElem(make_field(7, 1, 1), (1,)) == 1) is False
+
     def test_zero_inverse_fails(self):
         with pytest.raises(ZeroDivisionError):
             zero(make_field(2, 1, 2)).inverse()
@@ -563,6 +566,8 @@ class TestSumsOfProducts:
 # library errors that no other test reaches, with their exact text
 @pytest.mark.parametrize("call, message", [
     pytest.param(lambda: make_field(2, 0, 1), "degrees must be positive", id="make_field"),
+    pytest.param(lambda: FFElem(make_field(7, 1, 1), (1,)) + FFElem(make_field(7, 1, 2), (1,)),
+                 "elements of different fields", id="add"),
 ])
 def test_library_errors(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

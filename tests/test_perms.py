@@ -53,6 +53,10 @@ class TestPermBasics:
         b = P.parse_perm("(2 3)", 5)
         assert (a * b)(3) == a(b(3)) == 1
 
+    def test_product_with_an_int_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            Perm([1, 0]) * 3
+
     def test_inverse_and_order(self):
         g = P.parse_perm("(1 2 3)(4 5)", 5)
         assert g * g.inverse() == Perm.identity(5)
@@ -341,6 +345,9 @@ class TestLatticeOracles:
 
 
 class TestClassLabels:
+    def test_label_prints_as_its_name(self):
+        assert str(ClassLabel(5, "[e]")) == "[e]"
+
     @pytest.mark.parametrize("degree, ambient", [
         (5, P.symmetric_group_elements(5)), (6, P.hexagon_group_elements()),
     ])
@@ -467,6 +474,8 @@ class TestCyclicGenerator:
                  "expected a vertex permutation of degree 6", id="hex_decompose"),
     pytest.param(lambda: P.class_representative("[e]"),
                  "degree_context is required with a string label", id="class_representative"),
+    pytest.param(lambda: P.class_label(P.generate([], 5), 7), "unsupported degree",
+                 id="class_label"),
 ])
 def test_library_errors(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -259,6 +259,9 @@ class TestMinimality:
     pytest.param(lambda: L.invariant_rank(P.generate([], 6)), "expected a subgroup of S5",
                  id="invariant_rank"),
     pytest.param(lambda: L.h_class(5) + L.h_class(6), "mismatched degree contexts", id="sum"),
+    pytest.param(lambda: L.LatticeAction(6, tuple(tuple(int(i == j) for j in range(4))
+                                                   for i in range(4))).apply(L.h_class(5)),
+                 "mismatched degree contexts", id="apply"),
 ])
 def test_library_errors(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

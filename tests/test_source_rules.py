@@ -159,13 +159,13 @@ def test_private_names_the_benchmark_tracer_hooks_exist():
 
 def test_the_lattice_build_goes_through_the_module_global(monkeypatch):
     # the tracer rebinds perms._Lattice to time perms.lattice{5,6}_build,
-    # which all_subgroups sees only if it looks the class up at call time
-    lattice_class = perms._Lattice
+    # which all_subgroups sees only if it looks the function up at call time
+    build = perms._Lattice
     degrees = []
 
     def recording(degree):
         degrees.append(degree)
-        return lattice_class(degree)
+        return build(degree)
 
     perms.all_subgroups.cache_clear()
     monkeypatch.setattr(perms, "_Lattice", recording)
@@ -236,12 +236,11 @@ def _object_setattr_uses(source):
 
 
 def test_frozen_values_set_their_fields_through_record_set():
-    # perms._Record._set is the one place a record, Perm or Subgroup sets its
-    # fields past the immutability guard; fields imports nothing from the
-    # package, so FieldSpec and FFElem keep their own setters
+    # perms._Record._set is the one place a frozen value (a record, Perm,
+    # Subgroup, FieldSpec or FFElem) sets its fields past the immutability guard
     found = [
         f"{path.name}:{line}"
-        for path in sorted(PACKAGE.glob("*.py")) if path.name != "fields.py"
+        for path in sorted(PACKAGE.glob("*.py"))
         for line in _object_setattr_uses(path.read_text(encoding="utf-8"))
     ]
     assert found == []
@@ -251,6 +250,47 @@ def test_the_setattr_rule_sees_a_use():
     source = ("object.__setattr__(self, 'a', 1)\nset_field = object.__setattr__\n"
               "self._set(1)\nsuper().__setattr__('a', 1)\n")
     assert sorted(_object_setattr_uses(source)) == [1, 2]
+
+
+_GUARDS = ("__setattr__", "__delattr__")
+
+
+def _guard_definitions(source):
+    """(line, class) of every __setattr__ or __delattr__ a class body defines or assigns."""
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            if any(name in _GUARDS for name in names):
+                yield node.lineno, cls.name
+
+
+def test_only_record_guards_a_frozen_value():
+    # one class decides how a frozen value refuses a change: every other
+    # class that freezes its fields derives from perms._Record
+    found = [
+        f"{path.name}:{line}:{owner}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line, owner in _guard_definitions(path.read_text(encoding="utf-8"))
+        if (path.name, owner) != ("perms.py", "_Record")
+    ]
+    assert found == []
+
+
+def test_the_guard_rule_sees_a_definition():
+    source = ("class A:\n    def __setattr__(self, *args):\n        pass\n"
+              "    __delattr__ = __setattr__\n"
+              "class B:\n    __setattr__, x = None, 1\n"
+              "    def f(self):\n        self.__setattr__ = 1\n"
+              "def __delattr__(self):\n    pass\n")
+    assert sorted(_guard_definitions(source)) == [(2, "A"), (4, "A"), (6, "B")]
 
 
 _WHOLE_FIELD_LISTS = ("subfield_elements", "field_elements")
