@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from functools import lru_cache, partial
@@ -208,6 +209,8 @@ def _cmd_verify(args) -> int:
     from .perms import _MAX_DIGITS
 
     if args.input == "-":
+        if sys.stdin is None:
+            raise ValueError("--input - needs a stdin, and stdin is closed")
         text = sys.stdin.read(_MAX_MODEL_CHARS + 1)
     else:
         with open(args.input, encoding="utf-8") as fh:
@@ -304,9 +307,18 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return _HANDLERS[args.command](args)
-    except (ValueError, OSError, json.JSONDecodeError) as err:
-        print(json.dumps({"error": _clip(str(err))}))
+        code = _HANDLERS[args.command](args)
+        print(end="", flush=True)  # a failed stdout write raises here, not at exit
+        return code
+    except (ValueError, OSError) as err:
+        try:
+            print(json.dumps({"error": _clip(str(err))}), flush=True)
+        except OSError as failure:
+            # stdout itself failed (a pipe with no reader, a full device): as the signal
+            # docs' note on SIGPIPE does, aim it at os.devnull so the exit flush cannot raise
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+            print(json.dumps({"error": f"cannot write to stdout: {failure}"}), file=sys.stderr)
         return 1
 
 

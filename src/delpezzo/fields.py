@@ -386,9 +386,12 @@ def _modulus(p: int, m: int) -> tuple[int, ...]:
     ring = _ring(p, m)
     lead = 1 << (m * ring.w)
     sieve = 1 < m and p * m < _SIEVE_CUT  # at m = 1 every x + c has a root, yet x is irreducible
+    # whether p - 1 has each prime factor r of m, and 4 if 4 | m (r = 8 would lose x^8 + 2 over F_5)
+    binomials = all((p - 1) % r == 0 for r in range(2, m + 1)
+                    if m % r == 0 and (r == 4 or _prime_power(r) == (r, 1)))
     for h, in _span(ring, [(1 << (i * ring.w),) for i in range(1, m)]):  # index order, c fastest
-        if not h and m % 4 == 0 and p % 4 == 3:
-            continue  # no x^m + c is irreducible (Lidl & Niederreiter, Theorem 3.75)
+        if not (h or binomials):
+            continue  # else no x^m + c is irreducible (Lidl & Niederreiter, Theorem 3.75)
         rooted = ring.rooted(lead + h) if sieve else ()
         for c in range(p):
             if c not in rooted and _is_irreducible(p, m, lead + h + c):
@@ -664,10 +667,7 @@ def elements_of_degree(spec: FieldSpec, l: int) -> Iterator[FFElem]:
 
 def element_of_degree(spec: FieldSpec, l: int) -> FFElem:
     """First element of exact degree l in canonical order (1 when l = 1)."""
-    try:
-        return next(elements_of_degree(spec, l))
-    except StopIteration:
-        raise ValueError(f"no element of degree {l}") from None
+    return next(elements_of_degree(spec, l))  # l | n has some (Lidl & Niederreiter, 3.25)
 
 
 def minimal_polynomial(x: FFElem) -> tuple[FFElem, ...]:

@@ -486,35 +486,30 @@ def _cycle_type(g: Perm) -> tuple[int, ...]:
     return tuple(sorted(len(cyc) for cyc in g.cycles()))
 
 
-@lru_cache(maxsize=None)
-def _element_classes(degree_context: int) -> dict[Perm, tuple]:
-    """Each element of the ambient group with its conjugacy class."""
-    if degree_context == 5:
-        return {g: _cycle_type(g) for g in symmetric_group_elements(5)}
-    if degree_context == 6:
-        return {g: (_cycle_type(s), eps) for g, (s, eps) in _hexagon_pairs().items()}
-    raise ValueError("unsupported degree")
-
-
-def _census(elements: Iterable[Perm], degree_context: int) -> frozenset:
+def _census(elements: Iterable[Perm], classes: dict[Perm, tuple]) -> frozenset:
     """The multiset of element classes; an element outside the group counts as None."""
-    return frozenset(Counter(map(_element_classes(degree_context).get, elements)).items())
+    return frozenset(Counter(map(classes.get, elements)).items())
 
 
 @lru_cache(maxsize=None)
-def _pinned_classes(degree_context: int) -> tuple[dict[str, Subgroup], dict[frozenset, str]]:
-    """The pinned representatives by name, in listing order, and names by census."""
+def _pinned_classes(
+    degree_context: int,
+) -> tuple[dict[str, Subgroup], dict[frozenset, str], dict[Perm, tuple]]:
+    """The pinned representatives by name, in listing order, names by census, and
+    each element of the ambient group with its conjugacy class."""
     if degree_context == 5:
         gens = {name: [parse_perm(t, 5) for t in ts] for name, ts in _REP_GENS_5}
+        classes = {g: _cycle_type(g) for g in symmetric_group_elements(5)}
     elif degree_context == 6:
         gens = {name: [hex_element(parse_perm(t, 3), e) for t, e in ts] for name, ts in _REP_GENS_6}
+        classes = {g: (_cycle_type(s), eps) for g, (s, eps) in _hexagon_pairs().items()}
     else:
         raise ValueError("unsupported degree")
     reps = {name: generate(g, degree_context) for name, g in gens.items()}
-    names = {_census(rep.elements, degree_context): name for name, rep in reps.items()}
+    names = {_census(rep.elements, classes): name for name, rep in reps.items()}
     if len(names) != len(reps):
         raise RuntimeError("two pinned representatives are conjugate")
-    return reps, names
+    return reps, names, classes
 
 
 def class_names(degree_context: int) -> tuple[str, ...]:
@@ -536,8 +531,8 @@ def subgroup_classes(degree_context: int) -> tuple[tuple[ClassLabel, Subgroup], 
 
 def class_label(group: Subgroup, degree_context: int) -> ClassLabel:
     """The canonical label of the conjugacy class of a subgroup."""
-    names = _pinned_classes(degree_context)[1]
-    name = names.get(_census(group.elements, degree_context))
+    _, names, classes = _pinned_classes(degree_context)
+    name = names.get(_census(group.elements, classes))
     if name is None:
         raise ValueError("not a subgroup of the ambient group")
     return ClassLabel(degree_context, name)

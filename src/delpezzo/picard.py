@@ -177,13 +177,6 @@ class LatticeAction(_Record):
         )
 
 
-def _class_of_label(label: frozenset[int]) -> PicClass:
-    for cls, lab in minus_one_classes(5):
-        if lab == label:
-            return cls
-    raise ValueError(f"no (-1)-class labeled {set(label)}")
-
-
 @lru_cache(maxsize=None)
 def induced_lattice_action(sigma: Perm) -> LatticeAction:
     """The lattice isometry induced by an S5 relabeling of the (-1)-curves.
@@ -194,15 +187,16 @@ def induced_lattice_action(sigma: Perm) -> LatticeAction:
     """
     if sigma.degree != 5:
         raise ValueError("expected an element of S5")
+    by_label = {label: cls for cls, label in minus_one_classes(5)}  # all ten 2-subsets
     cols = []
     h_img = (
-        _class_of_label(sigma.apply_set({3, 4}))
-        + _class_of_label(sigma.apply_set({1, 5}))
-        + _class_of_label(sigma.apply_set({2, 5}))
+        by_label[sigma.apply_set({3, 4})]
+        + by_label[sigma.apply_set({1, 5})]
+        + by_label[sigma.apply_set({2, 5})]
     )
     cols.append(h_img.coords)
     for i in range(1, 5):
-        cols.append(_class_of_label(sigma.apply_set({i, 5})).coords)
+        cols.append(by_label[sigma.apply_set({i, 5})].coords)
     matrix = tuple(tuple(cols[j][i] for j in range(5)) for i in range(5))
     return LatticeAction(5, matrix)
 

@@ -1,0 +1,48 @@
+"""Time the canonical modulus search for every (p, m) a field literal accepts.
+
+A literal names p < 2^16, a base field F_{p^e} with p^e <= 2^40 and a
+relative degree n <= 6, so the search runs at m = e * n.  Each distinct
+(p, m) is searched once, with the search, irreducibility and ring caches
+cleared first, so every pair is timed cold.  This is a hand-run measurement,
+not a test: pytest does not collect it, and it takes about a minute.
+
+    PYTHONPATH=src python tests/modulus_sweep.py
+"""
+
+import statistics
+import time
+
+from delpezzo import fields
+
+
+def accepted_pairs():
+    """Every (p, m) that parse_field_literal can pass to make_field, sorted."""
+    pairs = set()
+    for p in range(2, fields.MAX_CHARACTERISTIC):
+        if fields._prime_power(p) != (p, 1):
+            continue
+        e = 1
+        while p ** e <= fields.MAX_BASE_FIELD:
+            pairs.update((p, e * n) for n in range(1, fields.MAX_RELATIVE_DEGREE + 1))
+            e += 1
+    return sorted(pairs)
+
+
+def main():
+    times = []
+    for p, m in accepted_pairs():
+        for cached in (fields._modulus, fields._is_irreducible, fields._ring):
+            cached.cache_clear()
+        start = time.perf_counter()
+        fields._modulus(p, m)
+        times.append((time.perf_counter() - start, p, m))
+    total = sum(t for t, _, _ in times)
+    print(f"{len(times)} (p, m) pairs in {total:.1f} s; "
+          f"median {statistics.median(t for t, _, _ in times) * 1e3:.2f} ms")
+    print("slowest 20:")
+    for t, p, m in sorted(times, reverse=True)[:20]:
+        print(f"  ({p}, {m}): {t * 1e3:.1f} ms")
+
+
+if __name__ == "__main__":
+    main()

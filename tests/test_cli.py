@@ -467,7 +467,8 @@ class TestLargeFields:
     @pytest.mark.parametrize("field, label", [
         ("2^40", "[e]"), ("2^8", "[Z/6Z]"), ("1009", "[Z/6Z]"), ("2^16", "[Z/6Z]"),
         ("65521", "[Z/6Z]"), ("65521^2", "[Z/6Z]"), ("3^25", "[Z/6Z]"), ("2^40", "[Z/6Z]"),
-        ("2^40", "[Z/5Z]"),
+        ("2^40", "[Z/5Z]"), ("65519", "[Z/6Z]"), ("65519", "[Z/5Z]"), ("65519", "[Z/3Z]"),
+        ("1009^4", "[Z/5Z]"),
     ])
     def test_realize_then_verify(self, tmp_path, field, label):
         path = tmp_path / "model.json"
@@ -484,6 +485,57 @@ class TestLargeFields:
                                 "1000000000000000000000000000057", "--type", "[e]")
         assert code == 1
         assert "below 2^16" in json.loads(out)["error"]
+
+
+def run_with_stdio(*argv, stdout, close_stdin=False):
+    """The CLI in a child process with the given stdout; (exit code, stdout, stderr)."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "delpezzo", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+                          preexec_fn=(lambda: os.close(0)) if close_stdin else None)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+_STDOUT_COMMANDS = [
+    ["classes", "--degree", "5"], ["aut-table"],
+    ["realize", "--field", "7", "--type", "[e]", "--json"],
+]
+
+
+class TestStdioEdges:
+    # a failed write to stdout is exit 1 with one error line on stderr, and a
+    # closed stdin is an error line of its own; neither ends in a traceback
+    @pytest.mark.parametrize("argv", _STDOUT_COMMANDS, ids=lambda argv: argv[0])
+    def test_pipe_without_reader(self, argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # before the child starts, so its first write fails
+        try:
+            code, _, err = run_with_stdio(*argv, stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert code == 1, err
+        assert json.loads(err) == {"error": "cannot write to stdout: [Errno 32] Broken pipe"}
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", _STDOUT_COMMANDS, ids=lambda argv: argv[0])
+    def test_full_device(self, argv):
+        with open("/dev/full", "wb") as full:
+            code, _, err = run_with_stdio(*argv, stdout=full)
+        assert code == 1, err
+        assert json.loads(err) == {
+            "error": "cannot write to stdout: [Errno 28] No space left on device"}
+
+    def test_closed_stdin(self):
+        code, out, err = run_with_stdio("verify", "--input", "-", stdout=subprocess.PIPE,
+                                        close_stdin=True)
+        assert (code, err) == (1, "")
+        assert json.loads(out) == {"error": "--input - needs a stdin, and stdin is closed"}
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_output_file_error_keeps_its_line_on_stdout(self):
+        code, out = run("realize", "--field", "7", "--type", "[e]", "--output", "/dev/full")
+        assert code == 1
+        assert json.loads(out) == {"error": "[Errno 28] No space left on device"}
 
 
 class TestMinimal:

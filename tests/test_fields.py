@@ -484,10 +484,17 @@ class TestModulusSearch:
     @pytest.mark.parametrize("field, modulus", [
         ((8191, 3, 4), (12, 1) + (0,) * 10 + (1,)),
         ((65519, 1, 4), (13, 1, 0, 0, 1)),
+        ((65519, 1, 6), (2, 1, 0, 0, 0, 0, 1)),
+        ((65519, 1, 5), (8, 1, 0, 0, 0, 1)),
+        ((65519, 1, 3), (1, 1, 0, 1)),
+        ((5, 1, 8), (2,) + (0,) * 7 + (1,)),
     ])
     def test_no_binomial_is_tested_where_none_is_irreducible(self, monkeypatch, field, modulus):
-        # 4 | m and p = 3 mod 4: the whole line x^m + c is skipped, not its
-        # p candidates tested one by one (8 191 and 65 519 tests)
+        # 4 | m and p = 3 mod 4, or a prime factor of m not dividing p - 1
+        # (65519 - 1 = 2 * 17 * 41 * 47): the whole line x^m + c is skipped,
+        # not its p candidates tested one by one (8 191 and about 65 500
+        # tests).  Every prime factor of 8 and 4 divide 5 - 1, so F_{5^8}
+        # keeps its line and its modulus x^8 + 2
         calls = []
         irreducible = fields._is_irreducible
         monkeypatch.setattr(fields, "_modulus", fields._modulus.__wrapped__)
@@ -513,16 +520,17 @@ class TestModulusSearch:
         assert not irreducible(p, 10, fields._ring(p, 10).pack(_pmul(*quintics, p)))
 
     def test_batched_gcds_of_the_3_25_working_field_search(self, monkeypatch):
-        # the modulus of 3^150 ([Z/6Z] over 3^25): 106 candidates reach the
-        # gcd test, which takes 355 gcds, one per power of 2 and at m/2,
-        # where one per k took 719
+        # the modulus of 3^150 ([Z/6Z] over 3^25): 105 candidates reach the
+        # gcd test, which takes 353 gcds, one per power of 2 and at m/2,
+        # where one per k takes 717.  The binomial line is skipped whole (the
+        # prime 3 | 150 does not divide 3 - 1); testing x^150 + 1 took 2 more
         modulus, calls = make_field(3, 25, 6).modulus, []
         gcd = fields._Fp.gcd
         monkeypatch.setattr(fields, "_is_irreducible", fields._is_irreducible.__wrapped__)
         monkeypatch.setattr(fields._Fp, "gcd",
                             lambda ring, *args: calls.append(args) or gcd(ring, *args))
         assert fields._modulus.__wrapped__(3, 150) == modulus
-        assert len(calls) == 355
+        assert len(calls) == 353
 
     def test_one_search_per_p_and_m(self, monkeypatch):
         spec = make_field(3, 1, 4)
