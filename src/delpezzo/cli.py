@@ -16,10 +16,18 @@ import sys
 from functools import lru_cache, partial
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose --help lets a failed stdout write raise, where
+    argparse drops it; subparsers inherit the class."""
+
+    def print_help(self, file=None):
+        print(self.format_help(), end="", file=file)
+
+
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: check-paper calls main often."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="delpezzo",
         description="Exact classification and construction of degree-5 and "
                     "degree-6 del Pezzo surfaces by Galois type.",
@@ -129,7 +137,7 @@ def _cmd_aut_table(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    from .curvegraphs import curve_graph, to_dot
+    from .curvegraphs import _vertex_name, curve_graph, to_dot
     from .perms import generate, parse_generators
 
     graph = curve_graph(args.degree)
@@ -141,7 +149,7 @@ def _cmd_graph(args) -> int:
     if args.dot:
         print(to_dot(graph, orbit_group))
     else:
-        names = ["{" + ",".join(map(str, sorted(v))) + "}" for v in graph.vertices]
+        names = [_vertex_name(v) for v in graph.vertices]
         print(f"vertices ({graph.n}):", " ".join(names))
         print(f"edges ({len(graph.edges())}):", " ".join(
             f"{names[i - 1]}-{names[j - 1]}" for i, j in graph.edges()
@@ -151,6 +159,7 @@ def _cmd_graph(args) -> int:
 
 def _cmd_realize(args) -> int:
     from .construct import realize_dp5, realize_dp6
+    from .curvegraphs import _vertex_name
     from .fields import parse_field_literal
 
     base = parse_field_literal(args.field)
@@ -171,8 +180,7 @@ def _cmd_realize(args) -> int:
             print(f"  P{i} = {point}")
         print(f"frobenius: {data['frobenius']}")
         if model.blowdown_vertex is not None:
-            print("blow-down vertex: {%s}" % ",".join(
-                map(str, sorted(model.blowdown_vertex))))
+            print(f"blow-down vertex: {_vertex_name(model.blowdown_vertex)}")
     return 0
 
 
@@ -303,11 +311,12 @@ _HANDLERS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
-        code = _HANDLERS[args.command](args)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # --help (0) or a usage error (2)
+            code = exc.code if isinstance(exc.code, int) else 2
+        else:
+            code = _HANDLERS[args.command](args)
         print(end="", flush=True)  # a failed stdout write raises here, not at exit
         return code
     except (ValueError, OSError) as err:

@@ -20,7 +20,7 @@ over every finite field.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import isinf, lcm
+from math import isinf
 
 from .curvegraphs import blowdown_action, invariant_vertices
 from .fields import (
@@ -188,8 +188,9 @@ def frobenius_permutation(config: PointConfig) -> Perm:
 # the 19 + 10 pinned representatives.  Nothing is filled at import.
 
 @lru_cache(maxsize=None)
-def _s5_image(tau: Perm) -> Subgroup:
-    """The Galois image in S5 of a model whose points Frobenius permutes by tau.
+def _galois_type(tau: Perm) -> tuple[Subgroup, ClassLabel]:
+    """The Galois image in S5 of a model whose points Frobenius permutes by tau,
+    and its degree-5 type.
 
     On five conic points tau already acts on {1..5}.  For a 4-point blow-up,
     in the Kneser labels the exceptional class over point i is {i,5} and the
@@ -197,13 +198,8 @@ def _s5_image(tau: Perm) -> Subgroup:
     E_i to E_tau(i) and that line to the line through points tau(i) and
     tau(j), so it acts on the ten labels as tau extended by 5 -> 5.
     """
-    return generate([Perm(tau.images + tuple(range(tau.degree, 5)))], degree=5)
-
-
-@lru_cache(maxsize=None)
-def _s5_label(tau: Perm) -> ClassLabel:
-    """The degree-5 type of a model whose points Frobenius permutes by tau."""
-    return class_label(_s5_image(tau), 5)
+    image = generate([Perm(tau.images + tuple(range(tau.degree, 5)))], degree=5)
+    return image, class_label(image, 5)
 
 
 @lru_cache(maxsize=None)
@@ -226,23 +222,24 @@ def _type_labels(rep: Subgroup, degree: int) -> tuple[ClassLabel, ClassLabel]:
 
 
 @lru_cache(maxsize=None)
-def _orbit_plan(group: Subgroup) -> tuple[Perm, int, tuple[tuple[int, ...], ...], int]:
-    """The chosen generator, c(H), the orbits by (length, smallest point), and
-    the lcm of their lengths, of a cyclic subgroup of S5."""
+def _orbit_plan(group: Subgroup) -> tuple[Perm, int, tuple[tuple[int, ...], ...]]:
+    """The chosen generator, c(H), and the orbits by (length, smallest point)
+    of a cyclic subgroup of S5."""
     gen_perm = cyclic_generator(group)
     if group.degree != 5:
         raise ValueError("degree mismatch")
     orbit_list = tuple(sorted(orbits(group), key=lambda o: (len(o), min(o))))
-    return gen_perm, complexity(group), orbit_list, lcm(*(len(o) for o in orbit_list))
+    return gen_perm, complexity(group), orbit_list
 
 
 # --- the inductive equivariant point-set algorithm ---------------------------
 
 def _points_with_action_stats(base: FieldSpec, group: Subgroup):
-    gen_perm, c, orbit_list, n_rel = _orbit_plan(group)
+    gen_perm, c, orbit_list = _orbit_plan(group)
     if base.q <= c:
         raise ValueError("field too small, use small_field_realize")
-    work = make_field(base.p, base.base_degree, n_rel)
+    # the orbits are the cycles of the generator, so the lcm of their lengths is |H|
+    work = make_field(base.p, base.base_degree, group.order)
     betas: dict[int, FFElem] = {}
     placed: set[FFElem] = set()
     scalar_positions = []
@@ -281,7 +278,7 @@ def points_with_action(base: FieldSpec, group: Subgroup) -> tuple[FFElem, ...]:
     """Five distinct field elements with frobenius(b_i) = b_{g(i)}.
 
     ``group`` must be cyclic with chosen generator g; the elements live in
-    F_{q^N}, N the lcm of the orbit lengths.  Orbits are seeded smallest
+    F_{q^N}, N the order of the group.  Orbits are seeded smallest
     first with a canonical element of exact matching degree, scaled by the
     first base scalar avoiding the part already placed; if every scalar of
     one seed collides (possible only when whole orbits are closed under
@@ -313,7 +310,7 @@ class SurfaceModel(_Record):
 
     def galois_image(self) -> Subgroup:
         """The image of Frobenius in S5, read from the stored point permutation."""
-        return _s5_image(self.frobenius_perm)
+        return _galois_type(self.frobenius_perm)[0]
 
     def to_json(self) -> dict:
         data = {
@@ -333,7 +330,7 @@ class SurfaceModel(_Record):
 def _dp5_model(config: PointConfig, construction: str) -> SurfaceModel:
     """The degree-5 model of a configuration, typed by how Frobenius permutes its points."""
     tau = frobenius_permutation(config)
-    return SurfaceModel(5, config.spec, config, tau, _s5_label(tau), construction)
+    return SurfaceModel(5, config.spec, config, tau, _galois_type(tau)[1], construction)
 
 
 def dp5_from_four_points(config: PointConfig) -> SurfaceModel:
@@ -418,11 +415,10 @@ def realize_dp6(base: FieldSpec, label6: ClassLabel | str) -> SurfaceModel:
 
     The degree-6 label is carried through the standard embedding of the
     hexagon symmetry group into S5 (rotations act on {1,2,3}, the central
-    flip is the transposition of {4,5}).
+    flip is the transposition of {4,5}).  The embedding is injective, so a
+    non-cyclic type maps to a non-cyclic subgroup of S5, which degree 5 refuses.
     """
     rep6 = class_representative(label6, 6)
-    if not rep6.is_cyclic:
-        raise ValueError("not realizable: H must be cyclic over a finite field")
     requested, label5 = _type_labels(rep6, 6)
     model5 = realize_dp5(base, label5)
     for vertex, induced in _blowdown_types(model5.galois_image()):
@@ -536,8 +532,9 @@ def verify_json(data: dict) -> list[tuple[str, bool, str]]:
         check("conic membership", True)
 
     if stable and gp and n in (4, 5):
-        induced = (_s5_label(tau) if model.degree == 5
-                   else dict(_blowdown_types(_s5_image(tau))).get(model.blowdown_vertex))
+        image, induced = _galois_type(tau)
+        if model.degree == 6:
+            induced = dict(_blowdown_types(image)).get(model.blowdown_vertex)
         if model.degree == 5 or check("blow-down vertex invariant", induced is not None,
                                       "vertex moved by the Galois image"):
             check("type matches", induced == model.type_label, f"recomputed {induced.name}")

@@ -164,18 +164,7 @@ class Perm(_Record):
 @lru_cache(maxsize=4096)
 def _order(images: tuple[int, ...]) -> int:
     """The lcm of the cycle lengths of an image tuple, walked once per tuple."""
-    seen = [False] * len(images)
-    out = 1
-    for start in range(len(images)):
-        length = 0
-        p = start
-        while not seen[p]:
-            seen[p] = True
-            p = images[p]
-            length += 1
-        if length > 1:
-            out = lcm(out, length)
-    return out
+    return lcm(*map(len, Perm._unchecked(images).cycles()))
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")

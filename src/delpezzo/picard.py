@@ -38,28 +38,21 @@ class PicClass(_Record):
             raise ValueError("wrong number of coordinates")
 
     def __add__(self, other: "PicClass") -> "PicClass":
-        self._check(other)
+        if self.degree_context != other.degree_context:
+            raise ValueError("mismatched degree contexts")
         return PicClass(
             self.degree_context,
             tuple(a + b for a, b in zip(self.coords, other.coords)),
         )
 
     def __sub__(self, other: "PicClass") -> "PicClass":
-        self._check(other)
-        return PicClass(
-            self.degree_context,
-            tuple(a - b for a, b in zip(self.coords, other.coords)),
-        )
+        return self + -other
 
     def __neg__(self) -> "PicClass":
         return PicClass(self.degree_context, tuple(-a for a in self.coords))
 
     def __rmul__(self, n: int) -> "PicClass":
         return PicClass(self.degree_context, tuple(n * a for a in self.coords))
-
-    def _check(self, other: "PicClass"):
-        if self.degree_context != other.degree_context:
-            raise ValueError("mismatched degree contexts")
 
     def basis_string(self) -> str:
         names = ["H"] + [f"E{i}" for i in range(1, _RANK[self.degree_context])]

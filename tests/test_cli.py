@@ -195,6 +195,11 @@ class TestRealizeAndVerify:
         assert json.loads(out)["error"] == \
             "not realizable: H must be cyclic over a finite field"
 
+    def test_non_cyclic_degree_6_type_rejected(self):
+        code, out = run("realize", "--degree", "6", "--field", "7", "--type", "[S3xZ/2]")
+        assert code == 1
+        assert json.loads(out) == {"error": "not realizable: H must be cyclic over a finite field"}
+
     def test_unknown_type(self):
         code, out = run("realize", "--field", "2", "--type", "[Q8]")
         assert code == 1
@@ -487,9 +492,9 @@ class TestLargeFields:
         assert "below 2^16" in json.loads(out)["error"]
 
 
-def run_with_stdio(*argv, stdout, close_stdin=False):
+def run_with_stdio(*argv, stdout, close_stdin=False, **extra_env):
     """The CLI in a child process with the given stdout; (exit code, stdout, stderr)."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env = dict(os.environ, PYTHONPATH=str(SRC), **extra_env)
     proc = subprocess.run([sys.executable, "-m", "delpezzo", *argv], stdout=stdout,
                           stderr=subprocess.PIPE, text=True, env=env, timeout=60,
                           preexec_fn=(lambda: os.close(0)) if close_stdin else None)
@@ -500,6 +505,7 @@ _STDOUT_COMMANDS = [
     ["classes", "--degree", "5"], ["aut-table"],
     ["realize", "--field", "7", "--type", "[e]", "--json"],
 ]
+_HELP_COMMANDS = [["--help"], ["realize", "--help"]]
 
 
 class TestStdioEdges:
@@ -521,6 +527,30 @@ class TestStdioEdges:
     def test_full_device(self, argv):
         with open("/dev/full", "wb") as full:
             code, _, err = run_with_stdio(*argv, stdout=full)
+        assert code == 1, err
+        assert json.loads(err) == {
+            "error": "cannot write to stdout: [Errno 28] No space left on device"}
+
+    # argparse drops a failed write of its own help text; the CLI's parser does not,
+    # with stdout block-buffered (PYTHONUNBUFFERED empty) or unbuffered
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", _HELP_COMMANDS, ids=" ".join)
+    def test_help_to_a_pipe_without_reader(self, argv, unbuffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            code, _, err = run_with_stdio(*argv, stdout=write_end, PYTHONUNBUFFERED=unbuffered)
+        finally:
+            os.close(write_end)
+        assert code == 1, err
+        assert json.loads(err) == {"error": "cannot write to stdout: [Errno 32] Broken pipe"}
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", _HELP_COMMANDS, ids=" ".join)
+    def test_help_to_a_full_device(self, argv, unbuffered):
+        with open("/dev/full", "wb") as full:
+            code, _, err = run_with_stdio(*argv, stdout=full, PYTHONUNBUFFERED=unbuffered)
         assert code == 1, err
         assert json.loads(err) == {
             "error": "cannot write to stdout: [Errno 28] No space left on device"}

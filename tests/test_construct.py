@@ -600,6 +600,15 @@ class TestRealizeDp6:
             with pytest.raises(ValueError, match="must be cyclic over a finite field"):
                 realize_dp6(F4, name)
 
+    # a non-cyclic degree-6 type embeds as a non-cyclic subgroup of S5, so
+    # degree 5 refuses it with its own words
+    @pytest.mark.parametrize("field", ["2", "7", "3^2"])
+    @pytest.mark.parametrize("name", [n for n in class_names(6) if n not in CYCLIC6])
+    def test_non_cyclic_types_get_the_degree_5_refusal(self, name, field):
+        with pytest.raises(ValueError) as err:
+            realize_dp6(parse_field_literal(field), name)
+        assert str(err.value) == "not realizable: H must be cyclic over a finite field"
+
 
 class TestModelCache:
     # each degree-5 model is built once per (p, base degree, type) and

@@ -1,4 +1,5 @@
-"""The narrative scripts in demos/ run cleanly against the current package."""
+"""The narrative scripts in demos/ run cleanly against the current package and
+print the text pinned in tests/demo_output/."""
 
 import os
 import subprocess
@@ -21,3 +22,14 @@ def test_demo_runs(script):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+@pytest.mark.parametrize("script", sorted(DEMOS.glob("*.py")), ids=lambda p: p.name)
+def test_demo_prints_its_pinned_text(script):
+    # the demos are deterministic, so their stdout is byte-identical across changes
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, str(script)], capture_output=True, text=True, env=env, timeout=120,
+    )
+    expected = Path(__file__).resolve().parent / "demo_output" / f"{script.stem}.txt"
+    assert proc.stdout == expected.read_text(encoding="utf-8")

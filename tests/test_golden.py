@@ -57,7 +57,7 @@ def test_realize_sweep_matches_golden_again_in_reverse():
     # keyed by a permutation of degree 4 or 5, by a subgroup of S5, by a
     # pinned representative (19 + 10 classes), or, the models, by (p, base
     # degree, type): 23 fields x 7 cyclic types
-    bounds = {construct._s5_image: 144, construct._s5_label: 144,
+    bounds = {construct._galois_type: 144,
               construct._blowdown_types: 156, construct._orbit_plan: 156,
               construct._type_labels: 29, construct._model5: 161}
     for cache, bound in bounds.items():
