@@ -309,6 +309,9 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    if sys.stdout is None:  # fd 1 closed: every print would drop the result unseen
+        print(json.dumps({"error": "cannot write to stdout: stdout is closed"}), file=sys.stderr)
+        return 1  # (that print does nothing if stderr is closed too)
     parser = build_parser()
     try:
         try:

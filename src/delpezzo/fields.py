@@ -7,7 +7,8 @@ non-leading coefficients.  (For example F_4 gets x^2+x+1, F_9 gets x^2+1,
 F_8 gets x^3+x+1.)  Elements, and polynomials over F_p, are packed ints: for
 p = 2 the coefficient bitmask, which is also the element's index; for odd p
 the coefficient of x^i sits in slot i of w bits (Kronecker substitution), so
-a product is one big-int multiply.  Packed ints order like indices.
+a product is one big-int multiply, and reducing every slot mod p is one more,
+by a fixed reciprocal of p.  Packed ints order like indices.
 
 Every field carries a marked base degree e | m: a ``FieldSpec`` describes
 the extension F_{q^n} / F_q with q = p^e and n = m/e, and ``frobenius`` is the
@@ -35,46 +36,41 @@ from .perms import _MAX_DIGITS, _Record
 # --- polynomials over F_p as packed ints ------------------------------------
 
 class _Fp:
-    """F_p[x], p odd, on packed ints of w = 2*bits(p-1) + bits(m) + 3 bit slots.
+    """F_p[x], p odd, on packed ints of w = 2k + 1 bit slots, k = 2*bits(p-1) + bits(m) + 2.
 
-    Sums stay exact until one slot-wise reduction, which needs every slot
-    below 2^(w-1) (room for subtracting p): 2^(w-1) > 4*m*p^2, as 2^bits(m)
-    > m and 2^bits(p-1) >= p.  ``reduce`` takes at most three products, each
-    of m or fewer slots below p times slots at most p (pp - d for -d), so
-    slots below 3*m*p^2; a fold of x^m = g adds norm(high) * g, below m*p^2,
+    Sums stay exact until one slot-wise reduction, which needs every slot below
+    2^k > 4*m*p^2 (2^bits(m) > m, 2^bits(p-1) >= p).  ``reduce`` takes at most
+    three products of m or fewer slots below p by slots at most p (pp - d for
+    -d): slots below 3*m*p^2; a fold of x^m = g adds norm(high) * g, below m*p^2,
     and every second fold normalizes the low part first: below 4*m*p^2.
+
+    ``norm`` takes each slot t to t - p * (t * magic >> s), magic = ceil(2^s / p),
+    s = k + bits(p) (Granlund & Montgomery, PLDI 1994): t * magic / 2^s exceeds
+    t/p by under 2^(k-s) < 1/p, less than the 1/p that t/p lies below the next
+    integer, and t * magic < 2^k * 2^(k+1) = 2^w, so no slot carries.
     """
 
-    __slots__ = ("p", "m", "w", "slot", "span", "top", "pp", "chain", "cut")
+    __slots__ = ("p", "m", "w", "s", "slot", "span", "magic", "qmask", "top", "less", "pp")
 
     def __init__(self, p: int, m: int):
         self.p, self.m = p, m
-        self.w = w = 2 * (p - 1).bit_length() + m.bit_length() + 3
-        self.slot, self.span = (1 << w) - 1, w * (m + 1)
-        ones = ((1 << self.span) - 1) // self.slot  # 1 in each of m + 1 slots
-        self.top, self.pp = ones << (w - 1), ones * p
-        # subtracting p * 2^j from every slot that holds at least that, for
-        # j = J .. 0, takes slots below 2^(w-1) < p * 2^(J+1) below p
-        self.chain = [(ones * ((1 << (w - 1)) - (p << j)), p << j)
-                      for j in range(w - 1 - p.bit_length(), -1, -1)]
-        self.cut = w * len(self.chain)  # below this a loop over the slots is cheaper
+        k = 2 * (p - 1).bit_length() + m.bit_length() + 2
+        self.w, self.s = w, s = 2 * k + 1, k + p.bit_length()
+        self.slot, self.span = (1 << w) - 1, w * (2 * m + 1)
+        ones = ((1 << self.span) - 1) // self.slot  # 1 in each of 2m + 1 slots
+        self.magic, self.qmask = -(-(1 << s) // p), ones * ((1 << (w - s)) - 1)
+        ones >>= w * m  # sums and pp: m + 1 slots
+        self.top, self.less, self.pp = ones << (w - 1), ones * ((1 << (w - 1)) - p), ones * p
 
     def norm(self, t: int) -> int:
-        """Every slot reduced mod p; slots must lie below 2^(w-1)."""
-        if self.cut < t.bit_length() <= self.span:
-            for c, q in self.chain:
-                t -= (((t + c) & self.top) >> (self.w - 1)) * q
-            return t
-        out = shift = 0
-        while t:
-            out |= (t & self.slot) % self.p << shift
-            t >>= self.w
-            shift += self.w
-        return out
+        """Every slot reduced mod p; slots must lie below 2^k."""
+        if t >> self.span:  # more slots than a product has: one at a time
+            return self.pack([c % self.p for c in self.unpack(t)])
+        return t - ((t * self.magic >> self.s) & self.qmask) * self.p
 
     def add(self, a: int, b: int) -> int:
-        s = a + b
-        return s - (((s + self.chain[-1][0]) & self.top) >> (self.w - 1)) * self.p
+        s = a + b  # slots below 2p: slot + 2^(w-1) - p reaches the top bit if slot >= p
+        return s - (((s + self.less) & self.top) >> (self.w - 1)) * self.p
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.pp - b)

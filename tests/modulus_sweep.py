@@ -3,12 +3,15 @@
 A literal names p < 2^16, a base field F_{p^e} with p^e <= 2^40 and a
 relative degree n <= 6, so the search runs at m = e * n.  Each distinct
 (p, m) is searched once, with the search, irreducibility and ring caches
-cleared first, so every pair is timed cold.  This is a hand-run measurement,
-not a test: pytest does not collect it, and it takes about a minute.
+cleared first, so every pair is timed cold.  It also prints one sha256 over
+repr((p, m, modulus)) of every pair in order, so two checkouts' moduli can be
+compared whole.  This is a hand-run measurement, not a test: pytest does not
+collect it, and it takes under a minute.
 
     PYTHONPATH=src python tests/modulus_sweep.py
 """
 
+import hashlib
 import statistics
 import time
 
@@ -29,16 +32,18 @@ def accepted_pairs():
 
 
 def main():
-    times = []
+    times, digest = [], hashlib.sha256()
     for p, m in accepted_pairs():
         for cached in (fields._modulus, fields._is_irreducible, fields._ring):
             cached.cache_clear()
         start = time.perf_counter()
-        fields._modulus(p, m)
+        modulus = fields._modulus(p, m)
         times.append((time.perf_counter() - start, p, m))
+        digest.update(repr((p, m, modulus)).encode())
     total = sum(t for t, _, _ in times)
     print(f"{len(times)} (p, m) pairs in {total:.1f} s; "
           f"median {statistics.median(t for t, _, _ in times) * 1e3:.2f} ms")
+    print(f"moduli sha256 {digest.hexdigest()}")
     print("slowest 20:")
     for t, p, m in sorted(times, reverse=True)[:20]:
         print(f"  ({p}, {m}): {t * 1e3:.1f} ms")

@@ -492,12 +492,13 @@ class TestLargeFields:
         assert "below 2^16" in json.loads(out)["error"]
 
 
-def run_with_stdio(*argv, stdout, close_stdin=False, **extra_env):
-    """The CLI in a child process with the given stdout; (exit code, stdout, stderr)."""
+def run_with_stdio(*argv, stdout, close=(), **extra_env):
+    """The CLI in a child process with the given stdout and the fds in ``close``
+    closed; (exit code, stdout, stderr)."""
     env = dict(os.environ, PYTHONPATH=str(SRC), **extra_env)
     proc = subprocess.run([sys.executable, "-m", "delpezzo", *argv], stdout=stdout,
                           stderr=subprocess.PIPE, text=True, env=env, timeout=60,
-                          preexec_fn=(lambda: os.close(0)) if close_stdin else None)
+                          preexec_fn=(lambda: list(map(os.close, close))) if close else None)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -557,9 +558,29 @@ class TestStdioEdges:
 
     def test_closed_stdin(self):
         code, out, err = run_with_stdio("verify", "--input", "-", stdout=subprocess.PIPE,
-                                        close_stdin=True)
+                                        close=(0,))
         assert (code, err) == (1, "")
         assert json.loads(out) == {"error": "--input - needs a stdin, and stdin is closed"}
+
+    # with fd 1 closed sys.stdout is None, and every print would drop the result unseen
+    @pytest.mark.parametrize("argv", [["classes", "--degree", "5"], ["--help"]], ids=" ".join)
+    def test_closed_stdout(self, argv):
+        code, _, err = run_with_stdio(*argv, stdout=None, close=(1,))
+        assert code == 1, err
+        assert json.loads(err) == {"error": "cannot write to stdout: stdout is closed"}
+
+    def test_closed_stdout_writes_no_output_file(self, tmp_path):
+        target = tmp_path / "model.json"
+        code, _, err = run_with_stdio("realize", "--field", "7", "--type", "[e]",
+                                      "--output", str(target), stdout=None, close=(1,))
+        assert code == 1, err
+        assert json.loads(err) == {"error": "cannot write to stdout: stdout is closed"}
+        assert not target.exists()
+
+    def test_closed_stdout_and_stderr(self):
+        code, out, err = run_with_stdio("classes", "--degree", "5", stdout=subprocess.PIPE,
+                                        close=(1, 2))
+        assert (code, out, err) == (1, "", "")
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_output_file_error_keeps_its_line_on_stdout(self):

@@ -541,9 +541,45 @@ class TestModulusSearch:
         assert calls == []
 
 
-# (p, m) with the least headroom for a sum of products: 2^(w-1) / (4 m p^2)
+# (p, m) with the least headroom for a sum of products: 2^k / (4 m p^2), with
+# k = 2*bits(p-1) + bits(m) + 2 the bound below which norm takes every slot,
 # is smallest when p - 1 and m lie just below powers of 2 (8191 and 15: 94 %)
 _HEADROOM = [(47, 6), (65521, 7), (65521, 12), (8191, 15), (3, 150)]
+
+
+def _slot_bound(p, m):
+    return 1 << (2 * (p - 1).bit_length() + m.bit_length() + 2)
+
+
+def _extreme_slots(p, m):
+    """2^k - 1, the largest multiple of p below 2^k, and the one below it, whose
+    residue p - 1 leaves the least room for the error of norm's reciprocal."""
+    top = (_slot_bound(p, m) - 1) // p * p
+    return [_slot_bound(p, m) - 1, top, top - 1]
+
+
+class TestNorm:
+    # up to 2m + 1 slots (any sum of products) are reduced by one multiply; the
+    # draws favour the extremes, p - 1 and the multiples of p
+    @pytest.mark.parametrize("p,m", _HEADROOM + [(7, 5), (3, 12), (47, 3)])
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_every_slot_reduced(self, p, m, data):
+        ring, bound = fields._ring(p, m), _slot_bound(p, m)
+        slot = st.one_of(st.sampled_from([0, p - 1, p] + _extreme_slots(p, m)),
+                         st.integers(0, (bound - 1) // p).map(lambda c: c * p),
+                         st.integers(0, bound - 1))
+        count = data.draw(st.integers(1, 2 * m + 1))
+        slots = data.draw(st.lists(slot, min_size=count, max_size=count))
+        assert ring.norm(ring.pack(slots)) == ring.pack([v % p for v in slots])
+
+    @pytest.mark.parametrize("p,m,count", [(3, 150, 301), (65521, 12, 25), (7, 5, 25)])
+    def test_the_extreme_slots(self, p, m, count):
+        # 2m + 1 slots at the edge of the multiply, and a row past it that takes
+        # the loop over the slots (as FFElem of many coefficients does)
+        ring, extremes = fields._ring(p, m), _extreme_slots(p, m)
+        slots = [extremes[i % 3] for i in range(count)]
+        assert ring.norm(ring.pack(slots)) == ring.pack([v % p for v in slots])
 
 
 class TestSumsOfProducts:
