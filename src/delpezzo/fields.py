@@ -317,6 +317,7 @@ class FieldSpec(_Record):
     """
 
     __slots__ = ("p", "m", "modulus", "base_degree", "_r", "_f", "_g", "_frob", "_kernels")
+    _value = ("p", "m", "modulus", "base_degree")
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...], base_degree: int):
         if _prime_power(p) != (p, 1):
@@ -333,15 +334,6 @@ class FieldSpec(_Record):
             raise ValueError("modulus is reducible")
         g = ring.sub(0, f - (1 << m * ring.w))
         self._set(p, m, modulus, base_degree, ring, f, g, {}, {})
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not FieldSpec:
-            return NotImplemented
-        return (self.p, self.m, self.modulus, self.base_degree) == (
-            other.p, other.m, other.modulus, other.base_degree)
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.m, self.modulus, self.base_degree))
 
     @property
     def q(self) -> int:
@@ -471,12 +463,7 @@ class FFElem(_Record):
             return self.inverse() ** (-e)
         return _elem(self.spec, self.spec._r.powmod(self._v, e, self.spec._g))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FFElem):
-            return NotImplemented
-        return self._v == other._v and (self.spec is other.spec or self.spec == other.spec)
-
-    def __hash__(self) -> int:
+    def __hash__(self) -> int:  # the int alone: _Record's would hash the modulus each call
         return hash(self._v)
 
     def __bool__(self) -> bool:

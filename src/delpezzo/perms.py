@@ -39,17 +39,19 @@ from typing import Callable, Iterable, Iterator, Sequence
 class _Record:
     """A frozen value whose fields are the ``__slots__`` of its class.
 
-    ``__init__`` sets every field once, with one ``_set`` call; equality, hash
-    and repr run over the field tuple, as those of a frozen dataclass do
-    (``Perm``, ``Subgroup``, ``fields.FieldSpec`` and ``fields.FFElem`` keep
-    their own).  Every record has at least two fields, so ``_fields`` gives
-    a tuple.
+    ``__init__`` sets every field once, with one ``_set`` call; equality and
+    hash run over the value tuple, as those of a frozen dataclass do, and repr
+    over every field.  The value is every field, or the fields a class lists
+    in ``_value`` (a ``Subgroup`` is its degree and elements, not the
+    generators that name it).  It has at least two fields, so ``_fields``
+    gives a tuple.  ``Perm`` keeps its own ``__eq__`` and ``__hash__`` and
+    ``fields.FFElem`` its own ``__hash__``, each a fraction of this cost.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls):
-        cls._fields = attrgetter(*cls.__slots__)  # _fields(record): the field tuple
+        cls._fields = attrgetter(*getattr(cls, "_value", cls.__slots__))  # the value tuple
         cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
     def _set(self, *values) -> None:
@@ -148,6 +150,7 @@ class Perm(_Record):
             return "()"
         return "".join("(" + " ".join(str(p) for p in cyc) + ")" for cyc in cycs)
 
+    # not _Record's, which take about twice as long; a lattice build calls each over 10 000 times
     def __eq__(self, other) -> bool:
         return isinstance(other, Perm) and self.images == other.images
 
@@ -223,6 +226,7 @@ class Subgroup(_Record):
     """An explicit subgroup: generators plus the full, canonically sorted closure."""
 
     __slots__ = ("degree", "generators", "elements", "_members")
+    _value = ("degree", "elements")
 
     def __init__(self, degree: int, generators: Sequence[Perm], elements: Sequence[Perm]):
         elements = tuple(sorted(elements))
@@ -244,16 +248,6 @@ class Subgroup(_Record):
     @property
     def is_cyclic(self) -> bool:
         return any(g.order() == self.order for g in self.elements)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Subgroup)
-            and self.degree == other.degree
-            and self.elements == other.elements
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.degree, self.elements))
 
     def __repr__(self) -> str:
         gens = ", ".join(g.cycle_string() for g in self.generators) or "()"
@@ -347,13 +341,14 @@ def centralizer(group: Subgroup) -> Subgroup:
 def _reduced_generators(elements: Sequence[Perm], degree: int) -> tuple[Perm, ...]:
     """Small deterministic generating set drawn from a full element list.
 
-    The greedy takes, in canonical order, each element not yet generated by
-    the ones taken before.  It names the generators of every Subgroup built
-    from a full element list: centralizers, vertex stabilizers, the lattice.
+    The greedy takes, in the list's order (which must be canonical), each
+    element not yet generated by the ones taken before.  It names the
+    generators of every Subgroup built from a full element list: centralizers,
+    vertex stabilizers, the lattice.
     """
     gens: list[Perm] = []
     have = {tuple(range(degree))}
-    for g in sorted(elements):
+    for g in elements:
         if g.images not in have:
             gens.append(g)
             have = set(_closure([h.images for h in gens], degree))
@@ -575,7 +570,7 @@ def _Lattice(degree_context: int) -> tuple[Subgroup, ...]:
                 found.append(c)
     return tuple(
         Subgroup(degree_context, _reduced_generators(s, degree_context), s)
-        for s in sorted(found, key=lambda s: (len(s), sorted(s)))
+        for s in sorted(map(sorted, found), key=lambda s: (len(s), s))
     )
 
 

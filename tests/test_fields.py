@@ -172,6 +172,28 @@ class TestFieldAxioms:
     def test_an_element_never_equals_an_int(self):
         assert (FFElem(make_field(7, 1, 1), (1,)) == 1) is False
 
+    def test_elements_of_equal_specs_are_equal(self):
+        # an element's value is its spec and its int, compared through
+        # perms._Record; a distinct but equal spec is the same field
+        f49 = make_field(7, 1, 2)
+        built = FieldSpec(f49.p, f49.m, f49.modulus, f49.base_degree)
+        assert built is not f49 and built == f49
+        for coeffs in ([], [3], [2, 5]):
+            x, y = FFElem(f49, coeffs), FFElem(built, coeffs)
+            assert x == y and not x != y and hash(x) == hash(y)
+
+    def test_the_same_int_in_another_field_is_another_element(self):
+        f7, f49 = make_field(7, 1, 1), make_field(7, 1, 2)
+        for coeffs in ([1], [6]):
+            x, y = FFElem(f7, coeffs), FFElem(f49, coeffs)
+            assert x._v == y._v
+            assert x != y and not x == y
+
+    def test_hash_is_the_hash_of_the_int(self):
+        for spec in (make_field(7, 1, 2), make_field(2, 40, 6)):
+            for x in (zero(spec), one(spec), gen(spec), gen(spec) ** 5 + one(spec)):
+                assert hash(x) == hash(x._v)
+
     def test_zero_inverse_fails(self):
         with pytest.raises(ZeroDivisionError):
             zero(make_field(2, 1, 2)).inverse()

@@ -344,6 +344,29 @@ class TestLatticeOracles:
             assert g.order() == order_by_cycles(g.images)  # read from the cache
 
 
+class TestSubgroupIdentity:
+    # a Subgroup's value is its degree and elements, compared and hashed
+    # through perms._Record; the generators only name it
+    def test_hash_is_the_hash_of_degree_and_elements(self):
+        subgroups = P.all_subgroups(5) + P.all_subgroups(6)
+        assert len(subgroups) == 172
+        for sub in subgroups:
+            assert hash(sub) == hash((sub.degree, sub.elements))
+
+    def test_generators_do_not_count(self):
+        five_cycle = P.parse_perm("(1 2 3 4 5)", 5)
+        a = P.generate([five_cycle])
+        b = P.generate([five_cycle * five_cycle, five_cycle.inverse()])
+        assert a.generators != b.generators
+        assert a == b and not a != b and hash(a) == hash(b)
+
+    def test_a_non_subgroup_is_not_implemented(self):
+        sub = P.class_representative("[Z/5Z]", 5)
+        for other in (sub.elements, (sub.degree, sub.elements), ClassLabel(5, "[Z/5Z]")):
+            assert sub.__eq__(other) is NotImplemented
+            assert (sub == other) is False and sub != other
+
+
 class TestClassLabels:
     def test_label_prints_as_its_name(self):
         assert str(ClassLabel(5, "[e]")) == "[e]"

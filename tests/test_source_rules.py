@@ -255,8 +255,8 @@ def test_the_setattr_rule_sees_a_use():
 _GUARDS = ("__setattr__", "__delattr__")
 
 
-def _guard_definitions(source):
-    """(line, class) of every __setattr__ or __delattr__ a class body defines or assigns."""
+def _dunder_definitions(source, dunders):
+    """(line, class) of every name in ``dunders`` that a class body defines or assigns."""
     for cls in ast.walk(ast.parse(source)):
         if not isinstance(cls, ast.ClassDef):
             continue
@@ -268,7 +268,7 @@ def _guard_definitions(source):
                 names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
             else:
                 continue
-            if any(name in _GUARDS for name in names):
+            if any(name in dunders for name in names):
                 yield node.lineno, cls.name
 
 
@@ -278,7 +278,7 @@ def test_only_record_guards_a_frozen_value():
     found = [
         f"{path.name}:{line}:{owner}"
         for path in sorted(PACKAGE.glob("*.py"))
-        for line, owner in _guard_definitions(path.read_text(encoding="utf-8"))
+        for line, owner in _dunder_definitions(path.read_text(encoding="utf-8"), _GUARDS)
         if (path.name, owner) != ("perms.py", "_Record")
     ]
     assert found == []
@@ -290,7 +290,38 @@ def test_the_guard_rule_sees_a_definition():
               "class B:\n    __setattr__, x = None, 1\n"
               "    def f(self):\n        self.__setattr__ = 1\n"
               "def __delattr__(self):\n    pass\n")
-    assert sorted(_guard_definitions(source)) == [(2, "A"), (4, "A"), (6, "B")]
+    assert sorted(_dunder_definitions(source, _GUARDS)) == [(2, "A"), (4, "A"), (6, "B")]
+
+
+# the classes that may define each identity method; every other frozen value
+# compares and hashes over its value fields through perms._Record
+_IDENTITY_OWNERS = {
+    "__eq__": {("perms.py", "_Record"), ("perms.py", "Perm")},
+    "__hash__": {("perms.py", "_Record"), ("perms.py", "Perm"), ("fields.py", "FFElem")},
+}
+
+
+def test_only_record_perm_and_ffelem_define_identity():
+    # Perm keeps both methods and FFElem its hash, since _Record's take
+    # longer per call where these run most; a Subgroup or a FieldSpec lists
+    # its value fields in _value instead of writing its own
+    found = [
+        f"{path.name}:{line}:{owner}:{dunder}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for dunder, owners in _IDENTITY_OWNERS.items()
+        for line, owner in _dunder_definitions(path.read_text(encoding="utf-8"), (dunder,))
+        if (path.name, owner) not in owners
+    ]
+    assert found == []
+
+
+def test_the_identity_rule_sees_a_definition():
+    source = ("class A:\n    def __eq__(self, other):\n        return True\n"
+              "    __hash__ = None\n"
+              "class B:\n    def __ne__(self, other):\n        return False\n"
+              "def __eq__(a, b):\n    return a is b\n")
+    assert list(_dunder_definitions(source, ("__eq__",))) == [(2, "A")]
+    assert list(_dunder_definitions(source, ("__hash__",))) == [(4, "A")]
 
 
 _WHOLE_FIELD_LISTS = ("subfield_elements", "field_elements")
