@@ -50,22 +50,20 @@ class _Fp:
     integer, and t * magic < 2^k * 2^(k+1) = 2^w, so no slot carries.
     """
 
-    __slots__ = ("p", "m", "w", "s", "slot", "span", "magic", "qmask", "top", "less", "pp")
+    __slots__ = ("p", "m", "w", "s", "slot", "magic", "qmask", "top", "less", "pp")
 
     def __init__(self, p: int, m: int):
         self.p, self.m = p, m
         k = 2 * (p - 1).bit_length() + m.bit_length() + 2
         self.w, self.s = w, s = 2 * k + 1, k + p.bit_length()
-        self.slot, self.span = (1 << w) - 1, w * (2 * m + 1)
-        ones = ((1 << self.span) - 1) // self.slot  # 1 in each of 2m + 1 slots
+        self.slot = (1 << w) - 1
+        ones = ((1 << w * (2 * m + 1)) - 1) // self.slot  # 1 in each of 2m + 1 slots
         self.magic, self.qmask = -(-(1 << s) // p), ones * ((1 << (w - s)) - 1)
         ones >>= w * m  # sums and pp: m + 1 slots
         self.top, self.less, self.pp = ones << (w - 1), ones * ((1 << (w - 1)) - p), ones * p
 
     def norm(self, t: int) -> int:
-        """Every slot reduced mod p; slots must lie below 2^k."""
-        if t >> self.span:  # more slots than a product has: one at a time
-            return self.pack([c % self.p for c in self.unpack(t)])
+        """Every slot reduced mod p; at most 2m + 1 slots, each below 2^k."""
         return t - ((t * self.magic >> self.s) & self.qmask) * self.p
 
     def add(self, a: int, b: int) -> int:
@@ -431,8 +429,8 @@ class FFElem(_Record):
 
     __slots__ = ("spec", "_v")
 
-    def __init__(self, spec: FieldSpec, coeffs):  # a product with 1 is reduced mod f
-        self._set(spec, spec._r.mul(spec._r.pack([c % spec.p for c in coeffs]), 1, spec._g))
+    def __init__(self, spec: FieldSpec, coeffs):  # any number of coefficients: Euclid's remainder
+        self._set(spec, spec._r.divmod(spec._r.pack([c % spec.p for c in coeffs]), spec._f)[1])
 
     def _other(self, other: "FFElem") -> int:
         if other.spec is not self.spec and other.spec != self.spec:

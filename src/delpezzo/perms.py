@@ -44,8 +44,8 @@ class _Record:
     over every field.  The value is every field, or the fields a class lists
     in ``_value`` (a ``Subgroup`` is its degree and elements, not the
     generators that name it).  It has at least two fields, so ``_fields``
-    gives a tuple.  ``Perm`` keeps its own ``__eq__`` and ``__hash__`` and
-    ``fields.FFElem`` its own ``__hash__``, each a fraction of this cost.
+    gives a tuple.  ``Perm``'s own ``__eq__`` and ``__hash__`` take half as long
+    (check-paper calls each over 10 000 times); ``fields.FFElem`` hashes its int.
     """
 
     __slots__ = ()
@@ -150,7 +150,7 @@ class Perm(_Record):
             return "()"
         return "".join("(" + " ".join(str(p) for p in cyc) + ")" for cyc in cycs)
 
-    # not _Record's, which take about twice as long; a lattice build calls each over 10 000 times
+    # not _Record's, which take about twice as long; check-paper calls each over 10 000 times
     def __eq__(self, other) -> bool:
         return isinstance(other, Perm) and self.images == other.images
 
@@ -158,6 +158,8 @@ class Perm(_Record):
         return hash(self.images)
 
     def __lt__(self, other: "Perm") -> bool:
+        if not isinstance(other, Perm):
+            return NotImplemented
         return (self.degree, self.images) < (other.degree, other.images)
 
     def __repr__(self) -> str:
@@ -229,7 +231,7 @@ class Subgroup(_Record):
     _value = ("degree", "elements")
 
     def __init__(self, degree: int, generators: Sequence[Perm], elements: Sequence[Perm]):
-        elements = tuple(sorted(elements))
+        elements = tuple(sorted(elements, key=attrgetter("images")))
         self._set(degree, tuple(generators), elements, frozenset(elements))
 
     @property
@@ -416,7 +418,7 @@ def hex_decompose(g: Perm) -> tuple[Perm, int]:
 @lru_cache(maxsize=None)
 def hexagon_group_elements() -> tuple[Perm, ...]:
     """All 12 symmetries of the hexagon, canonically sorted."""
-    return tuple(sorted(_hexagon_pairs()))
+    return tuple(sorted(_hexagon_pairs(), key=attrgetter("images")))
 
 
 # --- conjugacy classes of subgroups -----------------------------------------
@@ -540,9 +542,9 @@ def class_representative(label: ClassLabel | str, degree_context: int | None = N
 # --- subgroup lattice of the ambient group ----------------------------------
 #
 # Only all_subgroups enumerates, and caches the lattice per ambient group.  A
-# subgroup is closed as its set of elements under one conjugation table per
-# ambient generator, sorted by order and then by canonically sorted elements,
-# and named by _reduced_generators.
+# subgroup is closed as its set of image tuples under conjugation by each
+# ambient generator, sorted by order and then by its sorted image tuples, and
+# named by _reduced_generators; Perms are made only for the Subgroups built.
 #
 # The lattice is the closure of the pinned representatives under conjugation,
 # and it holds every subgroup:
@@ -556,22 +558,17 @@ def _Lattice(degree_context: int) -> tuple[Subgroup, ...]:
     """The subgroup lattice, built uncached; ``all_subgroups`` looks it up at call time."""
     reps = _pinned_classes(degree_context)[0].values()  # ValueError for other degrees
     ambient = symmetric_group_elements(5) if degree_context == 5 else hexagon_group_elements()
-    tables = [
-        {h: g * h * g.inverse() for h in ambient}
-        for g in _reduced_generators(ambient, degree_context)
-    ]
-    found = [frozenset(rep.elements) for rep in reps]
+    pairs = [(g.images, g.inverse().images) for g in _reduced_generators(ambient, degree_context)]
+    found = [frozenset(h.images for h in rep.elements) for rep in reps]
     seen = set(found)
     for elements in found:  # grows while it is walked
-        for table in tables:
-            c = frozenset(table[h] for h in elements)
+        for g, g_inv in pairs:
+            c = frozenset(tuple([g[h[j]] for j in g_inv]) for h in elements)  # g * h * g^-1
             if c not in seen:
                 seen.add(c)
                 found.append(c)
-    return tuple(
-        Subgroup(degree_context, _reduced_generators(s, degree_context), s)
-        for s in sorted(map(sorted, found), key=lambda s: (len(s), s))
-    )
+    members = (list(map(Perm._unchecked, s)) for s in sorted(sorted(map(sorted, found)), key=len))
+    return tuple(Subgroup(degree_context, _reduced_generators(e, degree_context), e) for e in members)
 
 
 @lru_cache(maxsize=None)

@@ -6,8 +6,12 @@ The digest covers, in this order, each output with its exit code:
    `python -O`;
 3. `classes`, `aut-table` and `graph`, as tables, JSON and DOT;
 4. `realize --json` for every type of both degrees (19 + 10) over each field
-   of FIELDS, 435 calls in one process; a refused type adds its error line.
-Parts 1 and 2 run in fresh interpreters, parts 3 and 4 through `cli.main`.
+   of FIELDS, 435 calls in one process; a refused type adds its error line;
+5. the generators, elements and hash of each of the 172 subgroups of the
+   lattice (156 of S5, 16 of the hexagon group), and the generators of the
+   centralizer of each of the 156.
+Parts 1 and 2 run in fresh interpreters, parts 3 and 4 through `cli.main`,
+part 5 through `perms`.
 Two checkouts whose digests match print the same bytes for all of it.  This
 is a hand-run check, not a test: pytest does not collect it, and it takes
 about 5 s.
@@ -73,6 +77,18 @@ def outputs():
                 argv = ["realize", "--field", field, "--degree", str(degree),
                         "--type", label, "--json"]
                 yield (" ".join(argv), *in_process(argv))
+    for degree in (5, 6):
+        for sub in perms.all_subgroups(degree):
+            yield (f"subgroup of degree {degree}", 0,
+                   f"{cycles(sub.generators)} | {cycles(sub.elements)} | {hash(sub)}")
+    for sub in perms.all_subgroups(5):
+        yield (f"centralizer of {cycles(sub.generators)}", 0,
+               cycles(perms.centralizer(sub).generators))
+
+
+def cycles(elements):
+    """The permutations in cycle notation, one space apart."""
+    return " ".join(g.cycle_string() for g in elements)
 
 
 def main():

@@ -595,13 +595,26 @@ class TestNorm:
         slots = data.draw(st.lists(slot, min_size=count, max_size=count))
         assert ring.norm(ring.pack(slots)) == ring.pack([v % p for v in slots])
 
-    @pytest.mark.parametrize("p,m,count", [(3, 150, 301), (65521, 12, 25), (7, 5, 25)])
+    @pytest.mark.parametrize("p,m,count", [(3, 150, 301), (65521, 12, 25)])
     def test_the_extreme_slots(self, p, m, count):
-        # 2m + 1 slots at the edge of the multiply, and a row past it that takes
-        # the loop over the slots (as FFElem of many coefficients does)
+        # 2m + 1 slots at the edge of the multiply
         ring, extremes = fields._ring(p, m), _extreme_slots(p, m)
         slots = [extremes[i % 3] for i in range(count)]
         assert ring.norm(ring.pack(slots)) == ring.pack([v % p for v in slots])
+
+
+class TestElementFromCoefficients:
+    # FFElem(spec, coeffs) takes any number of ints, negative ones and ones of
+    # p or more included, and keeps their remainder mod p and mod the modulus
+    @pytest.mark.parametrize("p,base,n", [(7, 1, 5), (3, 25, 6), (2, 40, 6), (65521, 1, 6)])
+    def test_any_number_of_coefficients(self, p, base, n):
+        spec, rng = make_field(p, base, n), random.Random(p)
+        m = spec.m
+        for count in (0, m, 2 * m + 1, 2 * m + 2, 5 * m + 3):
+            coeffs = [rng.choice([-p - 1, -1, 0, p - 1, p, 2 * p + 1, rng.randrange(-p * p, p * p)])
+                      for _ in range(count)]
+            want = _pmod(tuple(c % p for c in coeffs), spec.modulus, p)
+            assert FFElem(spec, coeffs).coeffs == want, count
 
 
 class TestSumsOfProducts:

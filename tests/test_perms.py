@@ -57,6 +57,11 @@ class TestPermBasics:
         with pytest.raises(TypeError):
             Perm([1, 0]) * 3
 
+    def test_comparison_with_an_int_is_a_type_error(self):
+        assert Perm([0, 1]).__lt__(1) is NotImplemented
+        with pytest.raises(TypeError):
+            Perm([0, 1]) < 1
+
     def test_inverse_and_order(self):
         g = P.parse_perm("(1 2 3)(4 5)", 5)
         assert g * g.inverse() == Perm.identity(5)
@@ -328,6 +333,20 @@ class TestLatticeOracles:
     def test_lattice_is_sorted_by_order_then_elements(self, degree):
         subgroups = P.all_subgroups(degree)
         assert list(subgroups) == sorted(subgroups, key=lambda s: (s.order, s.elements))
+
+    def test_a_build_compares_and_multiplies_no_perm(self, monkeypatch):
+        # with the pinned classes and the hexagon group filled, the lattice
+        # closes and sorts image tuples and makes Perms only for the Subgroups
+        # it returns, which sort by image tuple too
+        P._pinned_classes(5), P._pinned_classes(6), P.hexagon_group_elements()
+        calls = Counter()
+        for name in ("__eq__", "__lt__", "__mul__"):
+            def counting(*args, _real=getattr(Perm, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(Perm, name, counting)
+        assert len(P._Lattice(5)) + len(P._Lattice(6)) == 172
+        assert calls == Counter()
 
     def test_centralizer_is_the_commuting_set(self):
         s5 = P.symmetric_group_elements(5)

@@ -87,6 +87,9 @@ _PLANTED_FAULTS = [
     ("check_equivariance", "points_with_action",
      lambda real: lambda base, group: real(base, group)[1::-1] + real(base, group)[2:],
      "equivariance fails"),
+    ("check_degree6_pipeline", "hexagon_restriction",
+     lambda real: lambda sigma: real(perms.Perm.identity(5)),
+     "restriction map is not a bijection"),
 ]
 
 
