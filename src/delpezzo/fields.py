@@ -50,7 +50,7 @@ class _Fp:
     integer, and t * magic < 2^k * 2^(k+1) = 2^w, so no slot carries.
     """
 
-    __slots__ = ("p", "m", "w", "s", "slot", "magic", "qmask", "top", "less", "pp")
+    __slots__ = ("p", "m", "w", "s", "slot", "magic", "qmask", "pp")
 
     def __init__(self, p: int, m: int):
         self.p, self.m = p, m
@@ -59,16 +59,14 @@ class _Fp:
         self.slot = (1 << w) - 1
         ones = ((1 << w * (2 * m + 1)) - 1) // self.slot  # 1 in each of 2m + 1 slots
         self.magic, self.qmask = -(-(1 << s) // p), ones * ((1 << (w - s)) - 1)
-        ones >>= w * m  # sums and pp: m + 1 slots
-        self.top, self.less, self.pp = ones << (w - 1), ones * ((1 << (w - 1)) - p), ones * p
+        self.pp = (ones >> w * m) * p  # p in each of m + 1 slots: sub adds pp - b
 
     def norm(self, t: int) -> int:
         """Every slot reduced mod p; at most 2m + 1 slots, each below 2^k."""
         return t - ((t * self.magic >> self.s) & self.qmask) * self.p
 
     def add(self, a: int, b: int) -> int:
-        s = a + b  # slots below 2p: slot + 2^(w-1) - p reaches the top bit if slot >= p
-        return s - (((s + self.less) & self.top) >> (self.w - 1)) * self.p
+        return self.norm(a + b)
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.pp - b)
@@ -433,6 +431,8 @@ class FFElem(_Record):
         self._set(spec, spec._r.divmod(spec._r.pack([c % spec.p for c in coeffs]), spec._f)[1])
 
     def _other(self, other: "FFElem") -> int:
+        if not isinstance(other, FFElem):
+            raise TypeError(f"not a field element: {other!r}")
         if other.spec is not self.spec and other.spec != self.spec:
             raise ValueError("elements of different fields")
         return other._v

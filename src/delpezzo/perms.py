@@ -245,6 +245,8 @@ class Subgroup(_Record):
         return g in self._members
 
     def __le__(self, other: "Subgroup") -> bool:
+        if not isinstance(other, Subgroup):
+            return NotImplemented
         return self._members <= other._members
 
     @property

@@ -38,6 +38,8 @@ class PicClass(_Record):
             raise ValueError("wrong number of coordinates")
 
     def __add__(self, other: "PicClass") -> "PicClass":
+        if not isinstance(other, PicClass):
+            return NotImplemented
         if self.degree_context != other.degree_context:
             raise ValueError("mismatched degree contexts")
         return PicClass(
@@ -52,6 +54,8 @@ class PicClass(_Record):
         return PicClass(self.degree_context, tuple(-a for a in self.coords))
 
     def __rmul__(self, n: int) -> "PicClass":
+        if not isinstance(n, int):
+            return NotImplemented
         return PicClass(self.degree_context, tuple(n * a for a in self.coords))
 
     def basis_string(self) -> str:

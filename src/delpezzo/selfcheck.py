@@ -170,8 +170,9 @@ def _cyclic_labels(degree: int) -> list[str]:
 def check_class_census() -> tuple[bool, str]:
     """Both class lists (labels, orders, counts) against frozen expectations."""
     problems = []
-    for degree, expected, n_subgroups in (
-        (5, _DEGREE5_CENSUS, 156), (6, _DEGREE6_CENSUS, 16)
+    for degree, expected, n_subgroups, group, size in (
+        (5, _DEGREE5_CENSUS, 156, symmetric_group_elements(5), 120),
+        (6, _DEGREE6_CENSUS, 16, hexagon_group_elements(), 12),
     ):
         code, out = _run_cli("classes", "--degree", str(degree), "--json")
         if code != 0:
@@ -180,10 +181,7 @@ def check_class_census() -> tuple[bool, str]:
         got = [(e["label"], e["order"]) for e in json.loads(out)]
         if got != list(expected):
             problems.append(f"degree {degree}: census mismatch {got}")
-        sizes = {5: 120, 6: 12}
-        group = symmetric_group_elements(5) if degree == 5 \
-            else hexagon_group_elements()
-        if len(group) != sizes[degree]:
+        if len(group) != size:
             problems.append(f"degree {degree}: ambient group size {len(group)}")
         if len(all_subgroups(degree)) != n_subgroups:
             problems.append(f"degree {degree}: {len(all_subgroups(degree))} subgroups")
@@ -219,55 +217,35 @@ def check_minimal_rank() -> tuple[bool, str]:
         if (rank == 1) != contains_order5(sub):
             return False, f"rank-1 criterion fails at {sub.generators}"
         actions = [induced_lattice_action(h) for h in sub.generators]
-        seen: set[int] = set()
+        seen = set()
         orbit_count = 0
-        for idx, start in enumerate(conics):
-            if idx in seen:
+        for start in conics:
+            if start in seen:
                 continue
             orbit_count += 1
             stack = [start]
             while stack:
                 cls = stack.pop()
-                i = conics.index(cls)
-                if i in seen:
+                if cls in seen:
                     continue
-                seen.add(i)
+                if cls not in conics:
+                    return False, f"outside the conic classes: {cls} at {sub.generators}"
+                seen.add(cls)
                 stack.extend(a.apply(cls) for a in actions)
         if rank != orbit_count:
             return False, f"rank {rank} != conic orbits {orbit_count}"
     return True, "all 156 subgroups: rank-1 iff order 5; rank == conic orbits"
 
 
-def _brute_invariant_independent(sub) -> bool:
-    """Scan all 2^10 vertex subsets for a nonempty invariant independent one."""
-    gens = [graph_action(h).perm.images for h in sub.generators]
-    if not gens:
-        gens = [tuple(range(10))]
+def _brute_invariant_independent(sub, subsets) -> bool:
+    """Scan all 2^10 vertex subsets for a nonempty invariant independent one:
+    ``subsets[mask]`` lists the vertices in mask, and each one's image bit must lie in mask."""
+    image_bits = [[1 << i for i in graph_action(h).perm.images] for h in sub.generators]
     adj = curve_graph(5).adjacency
-    nbr = [sum(1 << j for j in range(10) if adj[i][j]) for i in range(10)]
     for mask in range(1, 1 << 10):
-        stable = True
-        for images in gens:
-            img = 0
-            rem = mask
-            while rem:
-                low = rem & -rem
-                img |= 1 << images[low.bit_length() - 1]
-                rem ^= low
-            if img != mask:
-                stable = False
-                break
-        if not stable:
-            continue
-        rem = mask
-        independent = True
-        while rem:
-            low = rem & -rem
-            if nbr[low.bit_length() - 1] & mask:
-                independent = False
-                break
-            rem ^= low
-        if independent:
+        vertices = subsets[mask]
+        if all(bits[v] & mask for bits in image_bits for v in vertices) \
+                and not any(adj[i][j] for i in vertices for j in vertices):
             return True
     return False
 
@@ -275,8 +253,9 @@ def _brute_invariant_independent(sub) -> bool:
 def check_invariant_vertices() -> tuple[bool, str]:
     """Subset scans: invariant independent sets, fixed vertices, maximality."""
     order5_free = []
+    subsets = [[v for v in range(10) if mask >> v & 1] for mask in range(1 << 10)]
     for sub in all_subgroups(5):
-        brute = _brute_invariant_independent(sub)
+        brute = _brute_invariant_independent(sub, subsets)
         if brute != has_invariant_independent_set(sub)[0]:
             return False, f"subset scan disagrees at {sub.generators}"
         if not brute and not contains_order5(sub):
@@ -301,25 +280,18 @@ def check_invariant_vertices() -> tuple[bool, str]:
 def _petersen_automorphisms_brute() -> set[tuple[int, ...]]:
     """All adjacency-preserving vertex bijections, by backtracking search."""
     adj = curve_graph(5).adjacency
-    n = 10
     found: set[tuple[int, ...]] = set()
 
-    def extend(partial: list[int], used: set[int]):
+    def extend(partial: list[int]):
         i = len(partial)
-        if i == n:
+        if i == 10:
             found.add(tuple(partial))
             return
-        for cand in range(n):
-            if cand in used:
-                continue
-            if all(adj[i][j] == adj[cand][partial[j]] for j in range(i)):
-                partial.append(cand)
-                used.add(cand)
-                extend(partial, used)
-                partial.pop()
-                used.remove(cand)
+        for cand in range(10):
+            if cand not in partial and all(adj[i][j] == adj[cand][partial[j]] for j in range(i)):
+                extend(partial + [cand])
 
-    extend([], set())
+    extend([])
     return found
 
 

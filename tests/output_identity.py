@@ -12,9 +12,8 @@ The digest covers, in this order, each output with its exit code:
    centralizer of each of the 156.
 Parts 1 and 2 run in fresh interpreters, parts 3 and 4 through `cli.main`,
 part 5 through `perms`.
-Two checkouts whose digests match print the same bytes for all of it.  This
-is a hand-run check, not a test: pytest does not collect it, and it takes
-about 5 s.
+Two checkouts whose digests match print the same bytes for all of it.  The
+script takes about 4 s; tests/test_output_identity.py pins its digest.
 
     PYTHONPATH=src python tests/output_identity.py
 """
@@ -91,15 +90,21 @@ def cycles(elements):
     return " ".join(g.cycle_string() for g in elements)
 
 
-def main():
-    digest = hashlib.sha256()
+def digest():
+    """(outputs, outputs with a nonzero exit code, sha256 hex digest of them all)."""
+    sha = hashlib.sha256()
     calls = failures = 0
     for name, code, out in outputs():
-        digest.update(f"{name}\0{code}\0{out}\0".encode())
+        sha.update(f"{name}\0{code}\0{out}\0".encode())
         calls += 1
         failures += code != 0
+    return calls, failures, sha.hexdigest()
+
+
+def main():
+    calls, failures, hexdigest = digest()
     print(f"{calls} outputs, {failures} with a nonzero exit code")
-    print(f"output sha256 {digest.hexdigest()}")
+    print(f"output sha256 {hexdigest}")
 
 
 if __name__ == "__main__":

@@ -602,6 +602,17 @@ class TestNorm:
         slots = [extremes[i % 3] for i in range(count)]
         assert ring.norm(ring.pack(slots)) == ring.pack([v % p for v in slots])
 
+    @pytest.mark.parametrize("p,m", _HEADROOM + [(7, 5)])
+    def test_add_and_sub_at_the_extremes(self, p, m):
+        # both reduce through norm: sums reach 2p - 2 in a slot, and sub adds pp - b
+        ring, rng = fields._ring(p, m), random.Random(p * m)
+        top, low = [p - 1] * m, [0] * m
+        x, y = ([rng.randrange(p) for _ in range(m)] for _ in range(2))
+        for a, b in [(top, top), (low, top), (x, y), (y, x), (x, top), (top, x)]:
+            a_, b_ = ring.pack(a), ring.pack(b)
+            assert ring.add(a_, b_) == ring.pack([(u + v) % p for u, v in zip(a, b)])
+            assert ring.sub(a_, b_) == ring.pack([(u - v) % p for u, v in zip(a, b)])
+
 
 class TestElementFromCoefficients:
     # FFElem(spec, coeffs) takes any number of ints, negative ones and ones of

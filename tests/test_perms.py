@@ -12,7 +12,9 @@ from reference_perms import (
 
 from delpezzo import perms as P
 from delpezzo import selfcheck
+from delpezzo.fields import make_field, one
 from delpezzo.perms import ClassLabel, Perm, Subgroup
+from delpezzo.picard import h_class
 
 
 def _label(name, deg=5):
@@ -521,4 +523,20 @@ class TestCyclicGenerator:
 ])
 def test_library_errors(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+# an operand of a foreign type is a TypeError, as for Perm, in the other value types
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: one(make_field(7, 1, 1)) + 1, id="FFElem+"),
+    pytest.param(lambda: one(make_field(7, 1, 1)) - 1, id="FFElem-"),
+    pytest.param(lambda: one(make_field(7, 1, 1)) * 1, id="FFElem*"),
+    pytest.param(lambda: one(make_field(7, 1, 1)) / 1, id="FFElem/"),
+    pytest.param(lambda: h_class(5) + 1, id="PicClass+"),
+    pytest.param(lambda: h_class(5) - 1, id="PicClass-"),
+    pytest.param(lambda: 0.5 * h_class(5), id="PicClass*"),
+    pytest.param(lambda: P.generate([], 5) <= 1, id="Subgroup<="),
+])
+def test_foreign_operands(call):
+    with pytest.raises(TypeError):
         call()

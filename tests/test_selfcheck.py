@@ -90,6 +90,12 @@ _PLANTED_FAULTS = [
     ("check_degree6_pipeline", "hexagon_restriction",
      lambda real: lambda sigma: real(perms.Perm.identity(5)),
      "restriction map is not a bijection"),
+    ("check_minimal_rank", "induced_lattice_action",
+     lambda real: lambda sigma: real(perms.Perm.identity(5)),
+     "rank"),
+    ("check_minimal_rank", "induced_lattice_action",
+     lambda real: lambda sigma: SimpleNamespace(apply=lambda cls: -cls),
+     "outside the conic classes"),
 ]
 
 
