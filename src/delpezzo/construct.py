@@ -26,9 +26,10 @@ from .curvegraphs import blowdown_action, invariant_vertices
 from .fields import (
     FieldSpec,
     FFElem,
+    _elem,
     _frob,
+    _pack_coeffs,
     elements_of_degree,
-    from_coeffs,
     frobenius,
     make_field,
     one,
@@ -56,39 +57,56 @@ CONSTRUCTION_TAGS = ("conic5", "fourpoints", "conic5_blowdown", "fourpoints_blow
 
 # --- projective points and lines --------------------------------------------
 
-def _normalized(coords: tuple[FFElem, FFElem, FFElem]) -> tuple[FFElem, FFElem, FFElem]:
-    lead = next((c for c in coords if c), None)
+def _normalized(spec: FieldSpec, vs: tuple[int, int, int]) -> tuple[int, int, int]:
+    """Packed coordinates scaled so the first nonzero one is 1."""
+    lead = next((v for v in vs if v), None)
     if lead is None:
         raise ValueError("point has no nonzero coordinate")
-    if lead._v == 1:  # already scaled: the inverse of 1 is 1
-        return tuple(coords)
-    inv = lead.inverse()
-    return tuple(c * inv for c in coords)
+    if lead == 1:  # already scaled: the inverse of 1 is 1
+        return tuple(vs)
+    inv = spec._r.inverse(lead, spec._f)
+    return tuple(spec._r.mul(v, inv, spec._g) for v in vs)
 
 
 class PlanePoint(_Record):
-    """A projective plane point, scaled so its first nonzero coordinate is 1."""
+    """A projective plane point, scaled so its first nonzero coordinate is 1, held
+    as packed ints ``_v``; ``coords`` builds its field elements on each read."""
 
-    __slots__ = ("spec", "coords")
+    __slots__ = ("spec", "_v")
 
     def __init__(self, spec: FieldSpec, coords: tuple[FFElem, FFElem, FFElem]):
         if len(coords) != 3 or any(c.spec is not spec and c.spec != spec for c in coords):
             raise ValueError("a plane point needs three coordinates in one field")
-        self._set(spec, _normalized(coords))
+        x, y, z = coords
+        self._set(spec, _normalized(spec, (x._v, y._v, z._v)))
+
+    @classmethod
+    def _from_packed(cls, spec: FieldSpec, vs: tuple[int, int, int]) -> "PlanePoint":
+        """The point with packed coordinates vs, already normalized."""
+        point = object.__new__(cls)
+        point._set(spec, vs)
+        return point
+
+    @property
+    def coords(self) -> tuple[FFElem, FFElem, FFElem]:
+        return tuple(_elem(self.spec, v) for v in self._v)
 
     def apply_frobenius(self) -> "PlanePoint":
         return PlanePoint(self.spec, tuple(frobenius(c) for c in self.coords))
 
     def on_conic(self) -> bool:
-        """y^2 = x*z, on the packed coordinates."""
-        (x, y, z), g = (c._v for c in self.coords), self.spec._g
-        return not self.spec._r.minor(y, y, x, z, g)
+        """y^2 = x*z."""
+        x, y, z = self._v
+        return not self.spec._r.minor(y, y, x, z, self.spec._g)
 
     def to_json(self) -> list[list[int]]:
-        return [list(c.coeffs) for c in self.coords]
+        return [self.spec._r.unpack(v) for v in self._v]
 
     def __str__(self) -> str:
         return "(" + ":".join(str(c.index) for c in self.coords) + ")"
+
+    def __repr__(self) -> str:
+        return f"PlanePoint(spec={self.spec!r}, coords={self.coords!r})"
 
 
 def plane_point(spec: FieldSpec, *coords) -> PlanePoint:
@@ -113,7 +131,7 @@ def general_position(points) -> bool:
     if any(p.spec is not spec and p.spec != spec for p in pts):
         raise ValueError("elements of different fields")
     r, g = spec._r, spec._g
-    vs = [tuple(c._v for c in p.coords) for p in pts]
+    vs = [p._v for p in pts]
     for i, (a0, a1, a2) in enumerate(vs):
         for j in range(i + 1, len(vs) - 1):
             b0, b1, b2 = vs[j]
@@ -135,7 +153,7 @@ class PointConfig(_Record):
         self._set(spec, points, on_conic)
         if any(p.spec is not spec and p.spec != spec for p in points):
             raise ValueError("mismatched point fields")
-        if len({p.coords for p in points}) != len(points):
+        if len({p._v for p in points}) != len(points):
             raise ValueError("points must be pairwise distinct")
         if on_conic and not all(p.on_conic() for p in points):
             raise ValueError("point off the marked conic")
@@ -145,7 +163,9 @@ class PointConfig(_Record):
 
 
 def conic_point(spec: FieldSpec, t: FFElem) -> PlanePoint:
-    return PlanePoint(spec, (one(spec), t, t * t))
+    if t.spec is not spec and t.spec != spec:
+        raise ValueError("a plane point needs three coordinates in one field")
+    return PlanePoint._from_packed(spec, (1, t._v, spec._r.mul(t._v, t._v, spec._g)))
 
 
 def conic_config(betas) -> PointConfig:
@@ -171,9 +191,8 @@ def frobenius_permutation(config: PointConfig) -> Perm:
     point is already scaled: no normalization is needed before the lookup.
     """
     spec = config.spec
-    packed = [tuple(c._v for c in p.coords) for p in config.points]
-    where = {v: i for i, v in enumerate(packed)}
-    images = tuple(where.get(tuple(_frob(spec, c, 1) for c in v)) for v in packed)
+    where = {p._v: i for i, p in enumerate(config.points)}  # distinct keys, in point order
+    images = tuple(where.get(tuple(_frob(spec, c, 1) for c in v)) for v in where)
     if None in images:
         raise ValueError("configuration not defined over the base field")
     return Perm(images)
@@ -240,38 +259,30 @@ def _points_with_action_stats(base: FieldSpec, group: Subgroup):
         raise ValueError("field too small, use small_field_realize")
     # the orbits are the cycles of the generator, so the lcm of their lengths is |H|
     work = make_field(base.p, base.base_degree, group.order)
-    betas: dict[int, FFElem] = {}
-    placed: set[FFElem] = set()
+    r, g = work._r, work._g
+    betas: dict[int, int] = {}  # packed, as the seed search runs
+    placed: set[int] = set()
     scalar_positions = []
     for orbit in orbit_list:
         l = len(orbit)
-        start = min(orbit)
-        chosen = None
-        for seed in elements_of_degree(work, l):
-            # the nonzero base scalars, lazily and in index order
-            for position, a in enumerate(elements_of_degree(work, 1), start=1):
-                candidate = a * seed
-                if candidate not in placed:
-                    chosen = (candidate, position)
-                    break
-            if chosen is not None:
-                break
-        if chosen is None:
+        # each seed in turn, times the nonzero base scalars, lazily and in index order
+        candidates = ((r.mul(a._v, seed._v, g), position) for seed in elements_of_degree(work, l)
+                      for position, a in enumerate(elements_of_degree(work, 1), start=1))
+        value, position = next((c for c in candidates if c[0] not in placed), (None, None))
+        if value is None:
             raise AssertionError("internal error: no equivariant seed found")
-        value, position = chosen
         if position > c + 1:
             raise AssertionError("internal error: scalar found beyond the counting bound")
         scalar_positions.append(position)
-        i = start
+        i = min(orbit)
         for _ in range(l):
             if value in placed:
                 raise AssertionError("internal error: orbit collision")
             betas[i] = value
             placed.add(value)
             i = gen_perm(i)
-            value = frobenius(value)
-    result = tuple(betas[i] for i in range(1, 6))
-    return result, work, gen_perm, tuple(scalar_positions)
+            value = _frob(work, value, 1)
+    return tuple(_elem(work, betas[i]) for i in range(1, 6)), work, gen_perm, tuple(scalar_positions)
 
 
 def points_with_action(base: FieldSpec, group: Subgroup) -> tuple[FFElem, ...]:
@@ -437,11 +448,10 @@ def _json_point(spec: FieldSpec, coords) -> PlanePoint:
     """A point exactly as ``PlanePoint.to_json`` writes it: first nonzero coordinate 1."""
     if not isinstance(coords, list) or len(coords) != 3:
         raise ValueError("each point must be a list of three coordinates")
-    elems = tuple(from_coeffs(spec, c) for c in coords)
-    point = PlanePoint(spec, elems)
-    if point.coords != elems:
+    vs = tuple(_pack_coeffs(spec, c) for c in coords)
+    if _normalized(spec, vs) != vs:
         raise ValueError(f"point {coords!r} is not normalized: its first nonzero coordinate must be 1")
-    return point
+    return PlanePoint._from_packed(spec, vs)
 
 
 def model_from_json(data: dict) -> SurfaceModel:

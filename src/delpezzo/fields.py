@@ -524,6 +524,11 @@ def from_index(spec: FieldSpec, t: int) -> FFElem:
 def from_coeffs(spec: FieldSpec, coeffs) -> FFElem:
     """The element whose ``coeffs`` are exactly these: at most m ints (not
     bools) in [0, p), the last one not 0.  It never reduces: ValueError instead."""
+    return _elem(spec, _pack_coeffs(spec, coeffs))
+
+
+def _pack_coeffs(spec: FieldSpec, coeffs) -> int:
+    """The packed int of ``from_coeffs``, with its checks, building no element."""
     if not isinstance(coeffs, (list, tuple)):
         raise ValueError(f"coefficients must be a list, not {type(coeffs).__name__}")
     if len(coeffs) > spec.m:
@@ -536,7 +541,7 @@ def from_coeffs(spec: FieldSpec, coeffs) -> FFElem:
         shift += w
     if coeffs and not coeffs[-1]:
         raise ValueError("trailing zero coefficient")
-    return _elem(spec, v)
+    return v
 
 
 def field_elements(spec: FieldSpec) -> Iterator[FFElem]:

@@ -48,6 +48,8 @@ class PicClass(_Record):
         )
 
     def __sub__(self, other: "PicClass") -> "PicClass":
+        if not isinstance(other, PicClass):
+            return NotImplemented
         return self + -other
 
     def __neg__(self) -> "PicClass":

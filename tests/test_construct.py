@@ -170,6 +170,12 @@ def _draw_config(spec, data):
     return PointConfig(spec, tuple(data.draw(st.permutations(points))))
 
 
+def _line(p, q):
+    """The line through two points, normalized on packed ints, as field elements."""
+    packed = _normalized(p.spec, tuple(c._v for c in cross(p, q)))
+    return tuple(fields._elem(p.spec, v) for v in packed)
+
+
 def _on_line_through(p, q, a, b):
     """The point a*p + b*q, or p again when that is the zero vector."""
     coords = tuple(a * x + b * y for x, y in zip(p.coords, q.coords))
@@ -243,15 +249,16 @@ class TestPackedPointChecks:
     @given(data=st.data())
     def test_normalized_skips_only_the_inverse_of_one(self, literal, data):
         spec = parse_field_literal(literal)
-        coords = tuple(_draw_coord(spec, data) for _ in range(3))
-        lead = next((c for c in coords if c), None)
+        elems = tuple(_draw_coord(spec, data) for _ in range(3))
+        coords = tuple(c._v for c in elems)
+        lead = next((c for c in elems if c), None)
         if lead is None:
             with pytest.raises(ValueError, match="no nonzero coordinate"):
-                _normalized(coords)
+                _normalized(spec, coords)
         elif lead == one(spec):
-            assert _normalized(coords) is coords
+            assert _normalized(spec, coords) is coords
         else:
-            assert _normalized(coords) == tuple(c * lead.inverse() for c in coords)
+            assert _normalized(spec, coords) == tuple((c * lead.inverse())._v for c in elems)
 
 
 class TestFrobeniusPermutation:
@@ -487,8 +494,7 @@ class TestFourPointModels:
             b = next(elements_of_degree(work, 3))
             triple = [conic_point(work, b), conic_point(work, frobenius(b)),
                       conic_point(work, frobenius(b, 2))]
-            lines = [_normalized(cross(p, q))
-                     for p, q in itertools.combinations(triple, 2)]
+            lines = [_line(p, q) for p, q in itertools.combinations(triple, 2)]
             for point in _base_plane_points(work):
                 for line in lines:
                     value = sum((c * x for c, x in zip(line, point.coords)),
@@ -774,6 +780,95 @@ _CHECKS_BEFORE_THE_VERTEX = (
 )
 
 
+# --- points held as packed ints -------------------------------------------------
+#
+# A PlanePoint keeps its coordinates as packed ints; field elements are built
+# only at the library's edges (the public constructor, ``coords``, ``__str__``).
+
+_PACKED_FIELDS = ["7", "2^40", "3^25", "65521", "1009^4"]
+
+
+def _model_with_point(data, index, coords):
+    data = json.loads(json.dumps(data))
+    data["points"][index] = coords
+    return data
+
+
+def _parse_error(data):
+    with pytest.raises(ValueError) as err:
+        model_from_json(data)
+    return str(err.value)
+
+
+class TestPackedPoints:
+    @pytest.mark.parametrize("field", _PACKED_FIELDS)
+    def test_every_point_is_its_coordinates(self, field):
+        for name in CYCLIC5:
+            model = realize_dp5(parse_field_literal(field), name)
+            spec = model.spec
+            assert model_from_json(model.to_json()) == model
+            for point, written in zip(model.config.points, model.to_json()["points"]):
+                assert point.coords == tuple(fields.from_coeffs(spec, c) for c in written)
+                assert point._v == tuple(c._v for c in point.coords)
+                assert PlanePoint(spec, point.coords) == point
+                assert hash(PlanePoint(spec, point.coords)) == hash(point)
+
+    @pytest.mark.parametrize("field", _PACKED_FIELDS)
+    def test_point_errors_keep_their_order(self, field):
+        model = realize_dp5(parse_field_literal(field), "[Z/6Z]")
+        data, spec = model.to_json(), model.spec
+        p, m = spec.p, spec.m
+        scaled = [0, 1]  # x, a coordinate other than 1: the working field has m = 6
+        bad_coefficient = f"coefficient {p} is not an integer in [0, {p})"
+        cases = [
+            ([[], [], []], "point has no nonzero coordinate"),
+            ([scaled, [], []], f"point {[scaled, [], []]!r} is not normalized: "
+                               "its first nonzero coordinate must be 1"),
+            ([[], [], scaled], f"point {[[], [], scaled]!r} is not normalized: "
+                               "its first nonzero coordinate must be 1"),
+            # each coordinate is checked before the point is
+            ([[], [], [p]], bad_coefficient),
+            ([scaled, [1, p], []], bad_coefficient),
+            ([scaled, [1], [0] * (m + 1)], f"{m + 1} coefficients, more than the degree {m}"),
+            ([[1], "x", [p]], "coefficients must be a list, not str"),
+            # within a coordinate, every coefficient before the trailing zero
+            ([[1], [p, 0], []], bad_coefficient),
+            ([[1], [1, 0], []], "trailing zero coefficient"),
+            ([[1], [True], []], f"coefficient True is not an integer in [0, {p})"),
+            ([[1], [], [-1]], f"coefficient -1 is not an integer in [0, {p})"),
+        ]
+        for coords, message in cases:
+            assert _parse_error(_model_with_point(data, 2, coords)) == message
+            (name, ok, detail), = verify_json(_model_with_point(data, 2, coords))
+            assert (name, ok, detail) == ("model parses", False, message)
+
+    @pytest.mark.parametrize("field, name, construction", [
+        ("7", "[Z/5Z]", "conic5"), ("2", "[Z/3Z]", "fourpoints")])
+    def test_verify_builds_no_field_element(self, monkeypatch, field, name, construction):
+        # a work count that reads the same on any host: field elements built
+        data = realize_dp5(parse_field_literal(field), name).to_json()
+        assert data["construction"] == construction
+        built = []
+        elem, init = fields._elem, FFElem.__init__
+
+        def counted_elem(spec, v):
+            built.append(v)
+            return elem(spec, v)
+
+        def counted_init(self, spec, coeffs):
+            built.append(coeffs)
+            init(self, spec, coeffs)
+
+        for module in (fields, construct):
+            if getattr(module, "_elem", None) is elem:
+                monkeypatch.setattr(module, "_elem", counted_elem)
+        monkeypatch.setattr(FFElem, "__init__", counted_init)
+        assert all(ok for _, ok, _ in verify_json(data))
+        assert built == []
+        model = model_from_json(data)
+        assert len(model.config.points[0].coords) == 3 and len(built) == 3  # the wrap counts
+
+
 class TestDegree6VerifyWithWarmCaches:
     # verify reads the vertex and its blow-down type from one table per Galois
     # image; a second model of the same image must take the filled table and
@@ -879,11 +974,11 @@ def _ten_class_action(config):
     image = {frozenset({i, 5}): frozenset({where[q], 5})
              for i, q in enumerate(moved, start=1)}
     line_label = {
-        _normalized(cross(pts[i - 1], pts[j - 1])): frozenset({1, 2, 3, 4} - {i, j})
+        _line(pts[i - 1], pts[j - 1]): frozenset({1, 2, 3, 4} - {i, j})
         for i, j in itertools.combinations(range(1, 5), 2)
     }
     for i, j in itertools.combinations(range(1, 5), 2):
-        line = _normalized(cross(moved[i - 1], moved[j - 1]))
+        line = _line(moved[i - 1], moved[j - 1])
         image[frozenset({1, 2, 3, 4} - {i, j})] = line_label[line]
     graph = curve_graph(5)
     return Perm(tuple(graph.index(image[v]) - 1 for v in graph.vertices))

@@ -526,17 +526,22 @@ def test_library_errors(call, message):
         call()
 
 
-# an operand of a foreign type is a TypeError, as for Perm, in the other value types
-@pytest.mark.parametrize("call", [
-    pytest.param(lambda: one(make_field(7, 1, 1)) + 1, id="FFElem+"),
-    pytest.param(lambda: one(make_field(7, 1, 1)) - 1, id="FFElem-"),
-    pytest.param(lambda: one(make_field(7, 1, 1)) * 1, id="FFElem*"),
-    pytest.param(lambda: one(make_field(7, 1, 1)) / 1, id="FFElem/"),
-    pytest.param(lambda: h_class(5) + 1, id="PicClass+"),
-    pytest.param(lambda: h_class(5) - 1, id="PicClass-"),
-    pytest.param(lambda: 0.5 * h_class(5), id="PicClass*"),
-    pytest.param(lambda: P.generate([], 5) <= 1, id="Subgroup<="),
+# an operand of a foreign type is a TypeError, as for Perm, in the other value types;
+# a subtraction names its own operator
+@pytest.mark.parametrize("call, text", [
+    pytest.param(lambda: one(make_field(7, 1, 1)) + 1, "", id="FFElem+"),
+    pytest.param(lambda: one(make_field(7, 1, 1)) - 1, "", id="FFElem-"),
+    pytest.param(lambda: one(make_field(7, 1, 1)) * 1, "", id="FFElem*"),
+    pytest.param(lambda: one(make_field(7, 1, 1)) / 1, "", id="FFElem/"),
+    pytest.param(lambda: h_class(5) + 1, "", id="PicClass+"),
+    pytest.param(lambda: h_class(5) - 1, "unsupported operand type(s) for -: 'PicClass' and 'int'",
+                 id="PicClass-"),
+    pytest.param(lambda: h_class(5) - "a", "unsupported operand type(s) for -: 'PicClass' and 'str'",
+                 id="PicClass-str"),
+    pytest.param(lambda: 0.5 * h_class(5), "", id="PicClass*"),
+    pytest.param(lambda: P.generate([], 5) <= 1, "", id="Subgroup<="),
 ])
-def test_foreign_operands(call):
-    with pytest.raises(TypeError):
+def test_foreign_operands(call, text):
+    with pytest.raises(TypeError) as err:
         call()
+    assert text in str(err.value)
