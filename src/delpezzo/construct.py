@@ -28,13 +28,11 @@ from .fields import (
     FFElem,
     _elem,
     _frob,
+    _of_degree,
     _pack_coeffs,
-    elements_of_degree,
     frobenius,
     make_field,
-    one,
     parse_field_literal,
-    zero,
 )
 from .perms import (
     ClassLabel,
@@ -266,8 +264,8 @@ def _points_with_action_stats(base: FieldSpec, group: Subgroup):
     for orbit in orbit_list:
         l = len(orbit)
         # each seed in turn, times the nonzero base scalars, lazily and in index order
-        candidates = ((r.mul(a._v, seed._v, g), position) for seed in elements_of_degree(work, l)
-                      for position, a in enumerate(elements_of_degree(work, 1), start=1))
+        candidates = ((r.mul(a, seed, g), position) for seed in _of_degree(work, l)
+                      for position, a in enumerate(_of_degree(work, 1), start=1))
         value, position = next((c for c in candidates if c[0] not in placed), (None, None))
         if value is None:
             raise AssertionError("internal error: no equivariant seed found")
@@ -373,20 +371,22 @@ def small_field_realize(base: FieldSpec, label: ClassLabel | str) -> SurfaceMode
         raise ValueError(f"no small-field construction for type {name}")
     degree = _SMALL_FIELD_DEGREES[name]
     work = make_field(base.p, base.base_degree, degree)
-    w = next(elements_of_degree(work, degree))
-    o, z, f = one(work), zero(work), frobenius(w)
-    rows = {
-        "[e]": [(o, z, z), (z, o, z), (z, z, o), (o, o, o)],
-        "[<(1,2)>]": [(o, z, z), (z, z, o), (o, w, o), (o, f, o)],
-        "[<(1,2)(3,4)>]": [(o, w, z), (o, f, z), (o, z, w), (o, z, f)],
+    w = next(_of_degree(work, degree))
+    f = _frob(work, w, 1)
+    rows = {  # packed and already normalized
+        "[e]": [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)],
+        "[<(1,2)>]": [(1, 0, 0), (0, 0, 1), (1, w, 1), (1, f, 1)],
+        "[<(1,2)(3,4)>]": [(1, w, 0), (1, f, 0), (1, 0, w), (1, 0, f)],
         # A rational point R on the line through P and Frob(P) lies on its
         # Frobenius image, the line through Frob(P) and Frob^2(P), too; the two
         # lines differ (no three conic points are collinear) and meet only in
         # Frob(P), which is not rational.  So every rational point completes
         # the triple, and (0:0:1) is the first in canonical order.
-        "[Z/3Z]": [(o, b, b * b) for b in (w, f, frobenius(f))] + [(z, z, o)],
+        "[Z/3Z]": [(1, b, work._r.mul(b, b, work._g)) for b in (w, f, _frob(work, f, 1))]
+                  + [(0, 0, 1)],
     }[name]
-    return dp5_from_four_points(PointConfig(work, tuple(PlanePoint(work, r) for r in rows)))
+    points = tuple(PlanePoint._from_packed(work, vs) for vs in rows)
+    return dp5_from_four_points(PointConfig(work, points))
 
 
 # --- realization dispatchers ---------------------------------------------------

@@ -265,18 +265,17 @@ def _is_irreducible(p: int, m: int, f: int) -> bool:
 _SIEVE_CUT = 6000
 
 
-def _span(ring: _Fp, rows, width: int = 1) -> Iterator[list[int]]:
+def _span(ring: _Fp, rows) -> Iterator[int]:
     """sum_i d_i * rows[i] for every d in F_p^len(rows), first digit fastest.
 
-    A row is a tuple of ``width`` packed vectors, summed side by side; each
-    step adds one row, and one more for every digit that wraps around.  With
-    no rows the span is the zero sum alone.
+    Each step adds one packed row, and one more for every digit that wraps
+    around.  With no rows the span is 0 alone.
     """
-    acc, digits = [0] * width, [0] * len(rows)
+    acc, digits = 0, [0] * len(rows)
     while True:
         yield acc
         for i, row in enumerate(rows):
-            acc = [ring.add(a, b) for a, b in zip(acc, row)]
+            acc = ring.add(acc, row)
             digits[i] += 1
             if digits[i] < ring.p:
                 break
@@ -308,8 +307,8 @@ class FieldSpec(_Record):
 
     Immutable; equal and hashed by its four fields.  Its tables are slots too,
     so looking them up never hashes the spec: the packing ``_r``, the packed
-    modulus ``_f`` with x^m = ``_g``, and the Frobenius columns and subfield
-    rows (``_subfield_rows``) as they are built.
+    modulus ``_f`` with x^m = ``_g``, and the Frobenius columns and the
+    subfield bases (``_kernels``, see ``_subfield_basis``) as they are built.
     """
 
     __slots__ = ("p", "m", "modulus", "base_degree", "_r", "_f", "_g", "_frob", "_kernels")
@@ -373,7 +372,7 @@ def _modulus(p: int, m: int) -> tuple[int, ...]:
     # whether p - 1 has each prime factor r of m, and 4 if 4 | m (r = 8 would lose x^8 + 2 over F_5)
     binomials = all((p - 1) % r == 0 for r in range(2, m + 1)
                     if m % r == 0 and (r == 4 or _prime_power(r) == (r, 1)))
-    for h, in _span(ring, [(1 << (i * ring.w),) for i in range(1, m)]):  # index order, c fastest
+    for h in _span(ring, [1 << (i * ring.w) for i in range(1, m)]):  # index order, c fastest
         if not (h or binomials):
             continue  # else no x^m + c is irreducible (Lidl & Niederreiter, Theorem 3.75)
         rooted = ring.rooted(lead + h) if sieve else ()
@@ -595,29 +594,26 @@ def element_degree(x: FFElem) -> int:
     return next(k for k in range(1, n + 1) if n % k == 0 and _frob(x.spec, x._v, k) == x._v)
 
 
-def _subfield_rows(spec: FieldSpec, l: int) -> list[tuple[int, ...]]:
-    """The rows that ``elements_of_degree`` counts F_{q^l} with, kept per l.
+def _subfield_basis(spec: FieldSpec, l: int) -> list[int]:
+    """The basis that ``elements_of_degree`` counts F_{q^l} in, kept per l.
 
-    Row i is basis vector b_i of the packed echelon kernel of frobenius^l - 1,
-    lowest free column first, followed by frobenius^k(b_i) - b_i for every
-    proper divisor k of l.  Counting in the basis, first vector as the least
-    significant digit, lists F_{q^l} in ascending index: the vector of free
-    column c has its highest nonzero coordinate at c and every other one is 0
-    at c.  At l = n it is the standard basis and the count is the index scan.
-    Frobenius fixes 1, so column 0 of frobenius^l - 1 is zero: ``kernel``
-    makes it the first free column, and b_0 = 1.
+    It is the packed echelon kernel of frobenius^l - 1, lowest free column
+    first.  Counting in it, first vector as the least significant digit,
+    lists F_{q^l} in ascending index: the vector of free column c has its
+    highest nonzero coordinate at c and every other one is 0 at c.  At l = n
+    it is the standard basis and the count is the index scan.  Frobenius
+    fixes 1, so column 0 of frobenius^l - 1 is zero: ``kernel`` makes it the
+    first free column, and b_0 = 1.
     """
-    rows = spec._kernels.get(l)
-    if rows is None:
+    basis = spec._kernels.get(l)
+    if basis is None:
         ring = spec._r
         basis = [1 << (j * ring.w) for j in range(spec.m)]
         if l % spec.n:
             cols = _frob_cols(spec, l % spec.n)
             basis = ring.kernel([ring.sub(c, u) for c, u in zip(cols, basis)])
-        divisors = [k for k in range(1, l) if l % k == 0]
-        rows = spec._kernels[l] = [
-            (b,) + tuple(ring.sub(_frob(spec, b, k), b) for k in divisors) for b in basis]
-    return rows
+        spec._kernels[l] = basis
+    return basis
 
 
 def subfield_elements(spec: FieldSpec) -> tuple[FFElem, ...]:
@@ -625,30 +621,31 @@ def subfield_elements(spec: FieldSpec) -> tuple[FFElem, ...]:
     return (zero(spec), *elements_of_degree(spec, 1))
 
 
-def elements_of_degree(spec: FieldSpec, l: int) -> Iterator[FFElem]:
-    """Elements of exact degree l over the base, ascending canonical index.
-
-    Alongside each element v of F_{q^l} the count carries frobenius^k(v) - v
-    for every proper divisor k of l; v has degree l when none of them is 0,
-    and, for l = 1, which has no such k, when v is not 0.
+def _of_degree(spec: FieldSpec, l: int) -> Iterator[int]:
+    """The packed ints of ``elements_of_degree``, in the same order.
 
     The lowest digit runs over a whole line u + d*b_0, d in F_p, at once.
-    Since b_0 = 1 (see ``_subfield_rows``), adding it changes none of the
-    carried values, so they are the same at every point of the line, and
-    every other basis vector is 0 at x^0, so the point is the packed int
-    u + d.  One check of the carried values of u keeps or skips all p points.
-    Only v = 0 (u = 0, d = 0) needs its own exclusion: for l > 1 its line
-    carries zeros and is skipped whole, for l = 1 the line starts at d = 1.
-    The elements and their order are those of the digit-by-digit count.
+    Since b_0 = 1 (see ``_subfield_basis``) and Frobenius fixes F_p,
+    frobenius^k(u + d) - (u + d) = frobenius^k(u) - u, so every point of the
+    line has the degree of u; every other basis vector is 0 at x^0, so the
+    point is the packed int u + d.  One test of u, frobenius^k(u) != u for
+    every proper divisor k of l, keeps or skips all p points.  Only 0 (u = 0,
+    d = 0) needs its own exclusion: for l > 1 Frobenius fixes its line's u
+    and the line is skipped whole, for l = 1 the line starts at d = 1.
     """
     if l < 1 or spec.n % l:
         raise ValueError("l does not divide the relative degree")
-    rows = _subfield_rows(spec, l)
-    for acc in _span(spec._r, rows[1:], len(rows[0])):
-        if all(acc[1:]):
-            u = acc[0]
+    divisors = [k for k in range(1, l) if l % k == 0]
+    for u in _span(spec._r, _subfield_basis(spec, l)[1:]):
+        if all(_frob(spec, u, k) != u for k in divisors):
             for d in range(0 if u else 1, spec.p):
-                yield _elem(spec, u + d)
+                yield u + d
+
+
+def elements_of_degree(spec: FieldSpec, l: int) -> Iterator[FFElem]:
+    """Elements of exact degree l over the base, ascending canonical index."""
+    for v in _of_degree(spec, l):
+        yield _elem(spec, v)
 
 
 def element_of_degree(spec: FieldSpec, l: int) -> FFElem:

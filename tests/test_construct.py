@@ -869,6 +869,68 @@ class TestPackedPoints:
         assert len(model.config.points[0].coords) == 3 and len(built) == 3  # the wrap counts
 
 
+def _count_built_elements(monkeypatch):
+    """The list that every FFElem built from now on is appended to: the
+    unchecked ``_elem`` (in each module that binds it) and ``FFElem.__init__``."""
+    built = []
+    elem, init = fields._elem, FFElem.__init__
+
+    def counted_elem(spec, v):
+        built.append(v)
+        return elem(spec, v)
+
+    def counted_init(self, spec, coeffs):
+        built.append(coeffs)
+        init(self, spec, coeffs)
+
+    for module in (fields, construct):
+        if getattr(module, "_elem", None) is elem:
+            monkeypatch.setattr(module, "_elem", counted_elem)
+    monkeypatch.setattr(FFElem, "__init__", counted_init)
+    return built
+
+
+class TestSeedSearchWork:
+    # work counts that read the same on any host: the seed search multiplies
+    # packed ints and tests each line of a subfield count by one Frobenius
+    # image per proper divisor, so it builds no field element but its result
+    @pytest.mark.parametrize("field, combines", [("2^40", 9), ("3^25", 9)])
+    def test_frobenius_images_of_one_search(self, monkeypatch, field, combines):
+        # the columns of frobenius^2 and frobenius^3, one image per line
+        # tested and one per placed point; none per basis vector of a subfield
+        base, group = parse_field_literal(field), class_representative("[Z/6Z]", 5)
+        work = make_field(base.p, base.base_degree, group.order)
+        work._kernels.clear()
+        work._frob.clear()
+        calls = []
+        for ring in (fields._Fp, fields._F2):  # _F2 has its own combine
+            def counted(self, *args, combine=ring.combine):
+                calls.append(args)
+                return combine(self, *args)
+
+            monkeypatch.setattr(ring, "combine", counted)
+        betas = _points_with_action_stats(base, group)[0]
+        assert len(calls) == combines
+        assert all(frobenius(b, 6) == b for b in betas)
+
+    @pytest.mark.parametrize("field, name", [
+        ("7", "[Z/5Z]"), ("7", "[Z/6Z]"), ("2^40", "[Z/6Z]"), ("65521^2", "[Z/6Z]")])
+    def test_the_search_builds_only_its_betas(self, monkeypatch, field, name):
+        base, group = parse_field_literal(field), class_representative(name, 5)
+        built = _count_built_elements(monkeypatch)
+        betas = _points_with_action_stats(base, group)[0]
+        assert sorted(built) == sorted(b._v for b in betas) and len(built) == 5
+
+    @pytest.mark.parametrize("field, name", [
+        ("2", "[Z/3Z]"), ("3", "[<(1,2)>]"), ("2", "[<(1,2)(3,4)>]")])
+    def test_small_field_models_build_no_element(self, monkeypatch, field, name):
+        base = parse_field_literal(field)
+        built = _count_built_elements(monkeypatch)
+        model = small_field_realize(base, name)
+        assert built == [] and model.type_label.name == name
+        assert len(model.config.points[0].coords) == 3 and len(built) == 3  # the wrap counts
+
+
 class TestDegree6VerifyWithWarmCaches:
     # verify reads the vertex and its blow-down type from one table per Galois
     # image; a second model of the same image must take the filled table and
@@ -1175,6 +1237,8 @@ class TestRealizeVerifyProperty:
                  "no small-field construction for type [Z/5Z]", id="small_field_realize"),
     pytest.param(lambda: conic_config([]),
                  "general position needs at least three points", id="conic_config"),
+    pytest.param(lambda: conic_point(F7, one(F4)),
+                 "a plane point needs three coordinates in one field", id="conic_point"),
     pytest.param(lambda: points_with_action(F7, class_representative("[Z/6]", 6)),
                  "degree mismatch", id="points_with_action"),
 ])

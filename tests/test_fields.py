@@ -263,6 +263,13 @@ class TestFrobenius:
         assert frobenius(x4) == x4**4
 
 
+def _degree_by_powers(x):
+    """The least k | n with x^(q^k) = x: field arithmetic only, none of the
+    Frobenius columns that elements_of_degree tests its lines with."""
+    n, q = x.spec.n, x.spec.q
+    return next(k for k in range(1, n + 1) if n % k == 0 and x ** (q ** k) == x)
+
+
 class TestElementDegrees:
     def test_degree_one_is_one(self):
         for p, e, n in [(2, 1, 1), (2, 1, 3), (3, 1, 2), (2, 2, 2)]:
@@ -301,7 +308,7 @@ class TestElementDegrees:
         listed = list(elements_of_degree(spec, 2))
         brute = [
             x for x in field_elements(spec)
-            if x != zero(spec) and element_degree(x) == 2
+            if x != zero(spec) and _degree_by_powers(x) == 2
         ]
         # at l == n the kernel basis is the standard one: an index scan
         assert listed == brute
@@ -322,7 +329,7 @@ class TestElementDegrees:
             listed = list(elements_of_degree(spec, l))
             brute = [
                 x for x in field_elements(spec)
-                if x != zero(spec) and element_degree(x) == l
+                if x != zero(spec) and _degree_by_powers(x) == l
             ]
             assert listed == brute and len(listed) == count
 
