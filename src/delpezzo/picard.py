@@ -25,6 +25,13 @@ from .perms import Perm, Subgroup, _Record, contains_order5, generate, orbits
 _RANK = {5: 5, 6: 4}
 
 
+def _rank(degree_context: int) -> int:
+    """The lattice rank of a supported degree; every other degree is refused."""
+    if degree_context not in _RANK:
+        raise ValueError("unsupported degree")
+    return _RANK[degree_context]
+
+
 class PicClass(_Record):
     """An integral divisor class in coordinates over (H, E1, .., E_{9-degree})."""
 
@@ -32,9 +39,7 @@ class PicClass(_Record):
 
     def __init__(self, degree_context: int, coords: tuple[int, ...]):
         self._set(degree_context, coords)
-        if degree_context not in _RANK:
-            raise ValueError("unsupported degree")
-        if len(coords) != _RANK[degree_context]:
+        if len(coords) != _rank(degree_context):
             raise ValueError("wrong number of coordinates")
 
     def __add__(self, other: "PicClass") -> "PicClass":
@@ -61,14 +66,14 @@ class PicClass(_Record):
         return PicClass(self.degree_context, tuple(n * a for a in self.coords))
 
     def basis_string(self) -> str:
-        names = ["H"] + [f"E{i}" for i in range(1, _RANK[self.degree_context])]
+        names = ["H"] + [f"E{i}" for i in range(1, _rank(self.degree_context))]
         return ",".join(names)
 
     def to_json_dict(self) -> dict:
         return {"basis": self.basis_string(), "coords": list(self.coords)}
 
     def __str__(self) -> str:
-        names = ["H"] + [f"E{i}" for i in range(1, _RANK[self.degree_context])]
+        names = ["H"] + [f"E{i}" for i in range(1, _rank(self.degree_context))]
         terms = []
         for c, name in zip(self.coords, names):
             if c == 0:
@@ -80,11 +85,11 @@ class PicClass(_Record):
 
 
 def h_class(degree_context: int) -> PicClass:
-    return PicClass(degree_context, (1,) + (0,) * (_RANK[degree_context] - 1))
+    return PicClass(degree_context, (1,) + (0,) * (_rank(degree_context) - 1))
 
 
 def e_class(degree_context: int, i: int) -> PicClass:
-    n = _RANK[degree_context]
+    n = _rank(degree_context)
     if not 1 <= i <= n - 1:
         raise ValueError(f"no exceptional class E{i} in degree {degree_context}")
     coords = [0] * n
@@ -93,7 +98,7 @@ def e_class(degree_context: int, i: int) -> PicClass:
 
 
 def canonical_class(degree_context: int) -> PicClass:
-    n = _RANK[degree_context]
+    n = _rank(degree_context)
     return PicClass(degree_context, (-3,) + (1,) * (n - 1))
 
 
@@ -113,7 +118,7 @@ def minus_one_classes(
     """The (-1)-classes with their Kneser labels, in graph vertex order."""
     from .curvegraphs import curve_graph
 
-    n_exc = _RANK[degree_context] - 1
+    n_exc = _rank(degree_context) - 1
     by_label: dict[frozenset[int], PicClass] = {}
     for i in range(1, n_exc + 1):
         by_label[frozenset({i, 5})] = e_class(degree_context, i)
@@ -150,7 +155,7 @@ class LatticeAction(_Record):
 
     def __init__(self, degree_context: int, matrix: tuple[tuple[int, ...], ...]):
         self._set(degree_context, matrix)
-        n = _RANK[degree_context]
+        n = _rank(degree_context)
         if len(matrix) != n or any(len(r) != n for r in matrix):
             raise ValueError("wrong matrix shape")
         sig = [1] + [-1] * (n - 1)

@@ -1,5 +1,6 @@
 """Point configurations, equivariant parameter sets, and realization sweeps."""
 
+import copy
 import io
 import itertools
 import json
@@ -477,6 +478,16 @@ class TestFourPointModels:
         with pytest.raises(ValueError, match="general position"):
             dp5_from_four_points(PointConfig(F3, pts))
 
+    @pytest.mark.parametrize("field", ["2", "3", "2^2", "2^40"])
+    @pytest.mark.parametrize("name", ["[e]", "[<(1,2)>]", "[<(1,2)(3,4)>]", "[Z/3Z]"])
+    def test_the_cyclic_types_with_complexity_above_one(self, field, name):
+        # the four-point types, in F_{q^|H|} as the conic construction works
+        rep = class_representative(name, 5)
+        assert rep.is_cyclic and complexity(rep) > 1
+        model = small_field_realize(parse_field_literal(field), name)
+        assert model.construction == "fourpoints" and model.type_label.name == name
+        assert model.spec.n == rep.order
+
     def test_image_lies_in_point_stabilizer(self):
         # four-point models can only produce types inside a point stabilizer
         for base, name in [(F2, "[e]"), (F3, "[<(1,2)>]"), (F2, "[<(1,2)(3,4)>]"),
@@ -848,21 +859,7 @@ class TestPackedPoints:
         # a work count that reads the same on any host: field elements built
         data = realize_dp5(parse_field_literal(field), name).to_json()
         assert data["construction"] == construction
-        built = []
-        elem, init = fields._elem, FFElem.__init__
-
-        def counted_elem(spec, v):
-            built.append(v)
-            return elem(spec, v)
-
-        def counted_init(self, spec, coeffs):
-            built.append(coeffs)
-            init(self, spec, coeffs)
-
-        for module in (fields, construct):
-            if getattr(module, "_elem", None) is elem:
-                monkeypatch.setattr(module, "_elem", counted_elem)
-        monkeypatch.setattr(FFElem, "__init__", counted_init)
+        built = _count_built_elements(monkeypatch)
         assert all(ok for _, ok, _ in verify_json(data))
         assert built == []
         model = model_from_json(data)
@@ -1209,6 +1206,67 @@ class TestStrictJsonProperty:
             assert model_from_json(model).to_json() == model
 
 
+# The 299 models of the realize sweep golden, read only, as tests/test_golden.py reads them.
+with open(Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "realize_sweep.json",
+          encoding="utf-8") as _fh:
+    _SWEEP_MODELS = [json.loads(entry["json"]) for entry in json.load(_fh).values()]
+
+# JSON atoms that land anywhere in a model: huge ints, floats, bools, strings, nested lists.
+_ATOMS = st.sampled_from([10 ** 700, -(10 ** 700), 2 ** 64, -1, 0, 0.5, float("inf"),
+                          float("-inf"), float("nan"), True, False, None, "", "(1 2)", "2^1",
+                          [], [[]], [[[1]]], [[1], [], []]])
+
+
+def _containers(value):
+    """Every object and list in a JSON value, the value itself first."""
+    if isinstance(value, dict):
+        children = list(value.values())
+    elif isinstance(value, list):
+        children = value
+    else:
+        return []
+    return [value] + [c for child in children for c in _containers(child)]
+
+
+def _edit(model, data):
+    """Replace a value, drop a key or an item, or add a key or an item, anywhere."""
+    container = data.draw(st.sampled_from(_containers(model)))
+    kind = data.draw(st.sampled_from(["replace", "drop", "add"] if container else ["add"]))
+    atom = copy.deepcopy(data.draw(_ATOMS))
+    if isinstance(container, dict):
+        keys = sorted(container) if kind != "add" else sorted(model) + ["blowdown_vertex", "x"]
+        key = data.draw(st.sampled_from(keys))
+        if kind == "drop":
+            del container[key]
+        else:
+            container[key] = atom
+    else:
+        i = data.draw(st.integers(0, len(container) - (kind != "add")))
+        if kind == "replace":
+            container[i] = atom
+        elif kind == "drop":
+            del container[i]
+        else:
+            container.insert(i, atom)
+
+
+class TestReaderContract:
+    # model_from_json promises a ValueError for anything it refuses, and
+    # verify_json catches nothing else
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(index=st.integers(0, len(_SWEEP_MODELS) - 1), edits=st.integers(1, 3), data=st.data())
+    def test_a_mutated_sweep_model_raises_only_value_error(self, index, edits, data):
+        model = copy.deepcopy(_SWEEP_MODELS[index])
+        for _ in range(edits):
+            _edit(model, data)
+        try:
+            model_from_json(model)
+        except ValueError as err:
+            assert verify_json(model) == [("model parses", False, str(err))]
+        else:
+            assert verify_json(model)[0] == ("model parses", True, "")
+
+
 def _base_field_literal(p):
     """A literal p^e for some e with p^e within the base-field ceiling."""
     top = max(e for e in range(1, 41) if p ** e <= MAX_BASE_FIELD)
@@ -1235,6 +1293,9 @@ class TestRealizeVerifyProperty:
                  "the four-point construction needs exactly 4 points", id="dp5_from_four_points"),
     pytest.param(lambda: small_field_realize(F2, "[Z/5Z]"),
                  "no small-field construction for type [Z/5Z]", id="small_field_realize"),
+    pytest.param(lambda: small_field_realize(F2, "[<(1,2),(3,4)>]"),  # c(H) = 2, not cyclic
+                 "no small-field construction for type [<(1,2),(3,4)>]",
+                 id="small_field_realize_not_cyclic"),
     pytest.param(lambda: conic_config([]),
                  "general position needs at least three points", id="conic_config"),
     pytest.param(lambda: conic_point(F7, one(F4)),

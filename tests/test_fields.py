@@ -561,6 +561,19 @@ class TestModulusSearch:
         assert fields._modulus.__wrapped__(3, 150) == modulus
         assert len(calls) == 353
 
+    @pytest.mark.parametrize("p, m, tests, gcds", [(127, 25, 1309, 3599), (233, 30, 1167, 2070)])
+    def test_ben_or_tests_and_gcds_of_two_slow_searches(self, monkeypatch, p, m, tests, gcds):
+        # work counts that read the same on any host, for two of the slowest
+        # accepted searches; a change in either count is a change in search work
+        calls = []
+        irreducible, gcd = fields._is_irreducible.__wrapped__, fields._Fp.gcd
+        monkeypatch.setattr(fields, "_is_irreducible",
+                            lambda *args: calls.append("test") or irreducible(*args))
+        monkeypatch.setattr(fields._Fp, "gcd",
+                            lambda ring, *args: calls.append("gcd") or gcd(ring, *args))
+        assert len(fields._modulus.__wrapped__(p, m)) == m + 1
+        assert (calls.count("test"), calls.count("gcd")) == (tests, gcds)
+
     def test_one_search_per_p_and_m(self, monkeypatch):
         spec = make_field(3, 1, 4)
         calls = []

@@ -262,6 +262,11 @@ class TestMinimality:
     pytest.param(lambda: L.LatticeAction(6, tuple(tuple(int(i == j) for j in range(4))
                                                    for i in range(4))).apply(L.h_class(5)),
                  "mismatched degree contexts", id="apply"),
+    pytest.param(lambda: L.h_class(7), "unsupported degree", id="h_class_degree"),
+    pytest.param(lambda: L.e_class(4, 1), "unsupported degree", id="e_class_degree"),
+    pytest.param(lambda: L.canonical_class(4), "unsupported degree", id="canonical_class_degree"),
+    pytest.param(lambda: L.minus_one_classes(7), "unsupported degree",
+                 id="minus_one_classes_degree"),
 ])
 def test_library_errors(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
