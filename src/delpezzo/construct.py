@@ -78,13 +78,6 @@ class PlanePoint(_Record):
         x, y, z = coords
         self._set(spec, _normalized(spec, (x._v, y._v, z._v)))
 
-    @classmethod
-    def _from_packed(cls, spec: FieldSpec, vs: tuple[int, int, int]) -> "PlanePoint":
-        """The point with packed coordinates vs, already normalized."""
-        point = object.__new__(cls)
-        point._set(spec, vs)
-        return point
-
     @property
     def coords(self) -> tuple[FFElem, FFElem, FFElem]:
         return tuple(_elem(self.spec, v) for v in self._v)
@@ -163,7 +156,7 @@ class PointConfig(_Record):
 def conic_point(spec: FieldSpec, t: FFElem) -> PlanePoint:
     if t.spec is not spec and t.spec != spec:
         raise ValueError("a plane point needs three coordinates in one field")
-    return PlanePoint._from_packed(spec, (1, t._v, spec._r.mul(t._v, t._v, spec._g)))
+    return PlanePoint._unchecked(spec, (1, t._v, spec._r.mul(t._v, t._v, spec._g)))
 
 
 def conic_config(betas) -> PointConfig:
@@ -380,7 +373,7 @@ def small_field_realize(base: FieldSpec, label: ClassLabel | str) -> SurfaceMode
         "[Z/3Z]": [(1, b, work._r.mul(b, b, work._g)) for b in (w, f, _frob(work, f, 1))]
                   + [(0, 0, 1)],
     }[name]
-    points = tuple(PlanePoint._from_packed(work, vs) for vs in rows)
+    points = tuple(PlanePoint._unchecked(work, vs) for vs in rows)
     return dp5_from_four_points(PointConfig(work, points))
 
 
@@ -446,7 +439,7 @@ def _json_point(spec: FieldSpec, coords) -> PlanePoint:
     vs = tuple(_pack_coeffs(spec, c) for c in coords)
     if _normalized(spec, vs) != vs:
         raise ValueError(f"point {coords!r} is not normalized: its first nonzero coordinate must be 1")
-    return PlanePoint._from_packed(spec, vs)
+    return PlanePoint._unchecked(spec, vs)
 
 
 def model_from_json(data: dict) -> SurfaceModel:

@@ -100,6 +100,8 @@ class VertexPerm(_Record):
         return self.graph.vertices[self.perm(self.graph.index(vertex)) - 1]
 
     def __mul__(self, other: "VertexPerm") -> "VertexPerm":
+        if not isinstance(other, VertexPerm):
+            return NotImplemented
         if self.graph != other.graph:
             raise ValueError("vertex permutations of different graphs")
         return VertexPerm(self.graph, self.perm * other.perm)
@@ -123,6 +125,8 @@ def invariant_vertices(group: Subgroup) -> tuple[frozenset[int], ...]:
 
 def _vertex_orbits(group: Subgroup) -> tuple[tuple[int, ...], ...]:
     """Orbits of the subgroup on the 1-indexed vertices of the degree-5 graph."""
+    if group.degree != 5:
+        raise ValueError("expected a subgroup of S5")
     return _orbits([graph_action(h) for h in group.generators], 10)
 
 

@@ -480,15 +480,7 @@ class FFElem(_Record):
         return f"FFElem({self.spec.literal()}, {list(self.coeffs)})"
 
 
-_set_spec, _set_v = FFElem._setters
-
-
-def _elem(spec: FieldSpec, v: int) -> FFElem:
-    """The element with packed int v, which must already be reduced (unchecked)."""
-    x = object.__new__(FFElem)
-    _set_spec(x, spec)
-    _set_v(x, v)
-    return x
+_elem = FFElem._unchecked  # (spec, v): the element with packed int v, already reduced
 
 
 def zero(spec: FieldSpec) -> FFElem:

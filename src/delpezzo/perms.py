@@ -39,7 +39,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 class _Record:
     """A frozen value whose fields are the ``__slots__`` of its class.
 
-    ``__init__`` sets every field once, with one ``_set`` call; equality and
+    ``__init__`` sets every field once, with one ``_set`` call, as
+    ``_unchecked`` does for fields already checked; equality and
     hash run over the value tuple, as those of a frozen dataclass do, and repr
     over every field.  The value is every field, or the fields a class lists
     in ``_value`` (a ``Subgroup`` is its degree and elements, not the
@@ -58,6 +59,14 @@ class _Record:
         """Set the fields, in ``__slots__`` order, past the guard below."""
         for setter, value in zip(self._setters, values):
             setter(self, value)
+
+    @classmethod
+    def _unchecked(cls, *values):
+        """The value with these fields, in ``__slots__`` order, built past ``__init__``:
+        the caller vouches that they are what ``__init__`` would have set."""
+        value = object.__new__(cls)
+        value._set(*values)
+        return value
 
     def __setattr__(self, *args):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -89,13 +98,6 @@ class Perm(_Record):
         self._set(len(images), images)
 
     @classmethod
-    def _unchecked(cls, images: tuple[int, ...]) -> "Perm":
-        """A Perm on an image tuple already known to be a bijection (products, closures)."""
-        perm = object.__new__(cls)
-        perm._set(len(images), images)
-        return perm
-
-    @classmethod
     def identity(cls, degree: int) -> "Perm":
         return cls(range(degree))
 
@@ -114,7 +116,7 @@ class Perm(_Record):
         if self.degree != other.degree:
             raise ValueError("degree mismatch")
         images = self.images
-        return Perm._unchecked(tuple([images[j] for j in other.images]))
+        return Perm._unchecked(self.degree, tuple([images[j] for j in other.images]))
 
     def inverse(self) -> "Perm":
         inv = [0] * self.degree
@@ -169,7 +171,7 @@ class Perm(_Record):
 @lru_cache(maxsize=4096)
 def _order(images: tuple[int, ...]) -> int:
     """The lcm of the cycle lengths of an image tuple, walked once per tuple."""
-    return lcm(*map(len, Perm._unchecked(images).cycles()))
+    return lcm(*map(len, Perm._unchecked(len(images), images).cycles()))
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
@@ -268,7 +270,7 @@ def generate(gens: Iterable[Perm], degree: int | None = None) -> Subgroup:
     if any(g.degree != degree for g in gens):
         raise ValueError("degree mismatch")
     closure = _closure([g.images for g in gens], degree)
-    return Subgroup(degree, gens, [Perm._unchecked(images) for images in closure])
+    return Subgroup(degree, gens, [Perm._unchecked(degree, images) for images in closure])
 
 
 def _closure(gens: Sequence[tuple[int, ...]], degree: int) -> list[tuple[int, ...]]:
@@ -569,7 +571,8 @@ def _Lattice(degree_context: int) -> tuple[Subgroup, ...]:
             if c not in seen:
                 seen.add(c)
                 found.append(c)
-    members = (list(map(Perm._unchecked, s)) for s in sorted(sorted(map(sorted, found)), key=len))
+    members = ([Perm._unchecked(degree_context, h) for h in s]
+               for s in sorted(sorted(map(sorted, found)), key=len))
     return tuple(Subgroup(degree_context, _reduced_generators(e, degree_context), e) for e in members)
 
 

@@ -225,6 +225,8 @@ def is_g_minimal(group: Subgroup, galois_image: Subgroup) -> bool:
     the lattice has rank 1 — which happens exactly when the joint group
     contains an element of order 5.
     """
+    if group.degree != 5 or galois_image.degree != 5:
+        raise ValueError("expected a subgroup of S5")
     for g in group.generators:
         for s in galois_image.generators:
             if g * s != s * g:

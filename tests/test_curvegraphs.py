@@ -267,6 +267,15 @@ class TestDot:
     pytest.param(lambda: C.graph_action(Perm(range(5))) * C.VertexPerm(C.curve_graph(6),
                                                                         Perm(range(6))),
                  "vertex permutations of different graphs", id="product"),
+    # the degree-6 trivial group has no generator whose degree a vertex action checks
+    pytest.param(lambda: C.invariant_vertices(P.generate([], 6)), "expected a subgroup of S5",
+                 id="invariant_vertices_degree6"),
+    pytest.param(lambda: C.has_invariant_independent_set(P.generate([], 6)),
+                 "expected a subgroup of S5", id="has_invariant_independent_set_degree6"),
+    pytest.param(lambda: C.blowdown_action(P.generate([], 6), {1, 2}), "expected a subgroup of S5",
+                 id="blowdown_action_degree6"),
+    pytest.param(lambda: C.to_dot(C.curve_graph(5), P.generate([], 6)),
+                 "expected a subgroup of S5", id="to_dot_degree6"),
 ])
 def test_library_errors(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

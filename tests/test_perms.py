@@ -12,6 +12,7 @@ from reference_perms import (
 
 from delpezzo import perms as P
 from delpezzo import selfcheck
+from delpezzo.curvegraphs import graph_action
 from delpezzo.fields import make_field, one
 from delpezzo.perms import ClassLabel, Perm, Subgroup
 from delpezzo.picard import h_class
@@ -540,6 +541,8 @@ def test_library_errors(call, message):
                  id="PicClass-str"),
     pytest.param(lambda: 0.5 * h_class(5), "", id="PicClass*"),
     pytest.param(lambda: P.generate([], 5) <= 1, "", id="Subgroup<="),
+    pytest.param(lambda: graph_action(Perm(range(5))) * 1,
+                 "unsupported operand type(s) for *: 'VertexPerm' and 'int'", id="VertexPerm*"),
 ])
 def test_foreign_operands(call, text):
     with pytest.raises(TypeError) as err:

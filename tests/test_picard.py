@@ -267,6 +267,12 @@ class TestMinimality:
     pytest.param(lambda: L.canonical_class(4), "unsupported degree", id="canonical_class_degree"),
     pytest.param(lambda: L.minus_one_classes(7), "unsupported degree",
                  id="minus_one_classes_degree"),
+    pytest.param(lambda: L.is_g_minimal(P.generate([], 6),
+                                        P.generate([P.parse_perm("(1 2 3 4 5)", 5)])),
+                 "expected a subgroup of S5", id="is_g_minimal_group_degree6"),
+    pytest.param(lambda: L.is_g_minimal(P.generate([P.parse_perm("(1 2 3 4 5)", 5)]),
+                                        P.generate([], 6)),
+                 "expected a subgroup of S5", id="is_g_minimal_image_degree6"),
 ])
 def test_library_errors(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

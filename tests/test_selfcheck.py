@@ -33,12 +33,62 @@ def realize_tampers_after_the_first(monkeypatch):
     monkeypatch.setitem(cli._HANDLERS, "realize", realize)
 
 
+@pytest.fixture
+def realize_fails_after_the_first(monkeypatch):
+    """Make every realize after the first print an error and exit 1."""
+    original = cli._HANDLERS["realize"]
+    calls = 0
+
+    def realize(args):
+        nonlocal calls
+        calls += 1
+        if calls == 1:
+            return original(args)
+        print(json.dumps({"error": "planted failure"}))
+        return 1
+
+    monkeypatch.setitem(cli._HANDLERS, "realize", realize)
+
+
+@pytest.fixture
+def realize_drifts_after_the_first(monkeypatch):
+    """Make every realize after the first print its model with the type changed."""
+    original = cli._HANDLERS["realize"]
+    calls = 0
+
+    def realize(args):
+        nonlocal calls
+        calls += 1
+        if calls == 1:
+            return original(args)
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            code = original(args)
+        model = json.loads(buf.getvalue())
+        model["type"] = "[e]" if model["type"] != "[e]" else "[Z/5Z]"
+        print(json.dumps(model, indent=2))
+        return code
+
+    monkeypatch.setitem(cli._HANDLERS, "realize", realize)
+
+
 @pytest.mark.parametrize("check", [selfcheck.check_realization_sweep,
                                    selfcheck.check_degree6_pipeline])
 def test_tampered_model_fails_the_sweep(realize_tampers_after_the_first, check):
     ok, detail = check()
     assert not ok
     assert "verify failed" in detail
+
+
+@pytest.mark.parametrize("fault, start", [
+    ("realize_fails_after_the_first", "degree-5 realize failed for "),
+    ("realize_drifts_after_the_first", "type drift for "),
+])
+def test_a_later_realize_fault_fails_the_sweep(request, fault, start):
+    request.getfixturevalue(fault)
+    ok, detail = selfcheck.check_realization_sweep()
+    assert not ok
+    assert detail.startswith(start)
 
 
 def test_run_all_writes_no_file(monkeypatch):

@@ -194,8 +194,9 @@ def test_the_point_stats_go_through_the_module_global(monkeypatch):
     assert len(results[0][3]) == len(perms.orbits(group)) == 2
 
 
-def _unchecked_perm_uses(source):
-    """(line, enclosing function) of every reference to Perm._unchecked."""
+def _unchecked_uses(source):
+    """(line, enclosing function, class named) of every reference to _unchecked;
+    the class is None unless the reference is ``Name._unchecked``."""
     tree = ast.parse(source)
     owner = {}
     for func in ast.walk(tree):
@@ -203,28 +204,46 @@ def _unchecked_perm_uses(source):
             for node in ast.walk(func):
                 owner.setdefault(node, func.name)  # outermost function first
     for node in ast.walk(tree):
-        if (isinstance(node, ast.Attribute) and node.attr == "_unchecked"
-                or isinstance(node, ast.Name) and node.id == "_unchecked"):
-            yield node.lineno, owner.get(node)
+        if isinstance(node, ast.Attribute) and node.attr == "_unchecked":
+            named = node.value.id if isinstance(node.value, ast.Name) else None
+            yield node.lineno, owner.get(node), named
+        elif isinstance(node, ast.Name) and node.id == "_unchecked":
+            yield node.lineno, owner.get(node), None
 
 
-def test_unchecked_perm_constructor_stays_inside_perms():
-    # Perm._unchecked skips the bijection check, which is sound only for
-    # products and closures of Perms that passed it; a parser or a JSON path
-    # that used it could build a Perm that is not a permutation
-    outside = [
-        f"{path.name}:{line}"
-        for path in sorted(PACKAGE.glob("*.py")) if path.name != "perms.py"
-        for line, _ in _unchecked_perm_uses(path.read_text(encoding="utf-8"))
-    ]
-    assert outside == []
-    inside = _unchecked_perm_uses((PACKAGE / "perms.py").read_text(encoding="utf-8"))
-    assert not any(owner is None or owner.startswith("parse") for _, owner in inside)
+def _unchecked_faults(source):
+    """Lines of the uses of _unchecked that name no class defined in the source,
+    or that sit in a parse* function."""
+    classes = {node.name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef)}
+    return sorted(
+        line for line, owner, named in _unchecked_uses(source)
+        if named not in classes or owner is not None and owner.startswith("parse"))
+
+
+def test_unchecked_constructors_stay_with_their_classes():
+    # _Record._unchecked skips __init__'s checks (a Perm's bijection, a
+    # point's normalization, an element's reduction), which is sound only
+    # where the class's own module has checked the fields; a parser, a JSON
+    # path or another module that used it could build a value __init__ refuses
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    found = [f"{name}:{line}" for name, source in sources.items()
+             for line in _unchecked_faults(source)]
+    assert found == []
+    # the rule is not vacuous: each module that builds values unchecked still does
+    for name in ("perms.py", "construct.py", "fields.py"):
+        assert list(_unchecked_uses(sources[name])), name
 
 
 def test_the_unchecked_rule_sees_a_use():
     source = "def parse_x(t):\n    return Perm._unchecked(t)\nq = _unchecked(())\n"
-    assert sorted(_unchecked_perm_uses(source), key=str) == [(2, "parse_x"), (3, None)]
+    assert sorted(_unchecked_uses(source), key=str) == [(2, "parse_x", "Perm"), (3, None, None)]
+    assert _unchecked_faults(source) == [2, 3]
+    source = ("class Perm:\n    pass\n"
+              "def parse_x(t):\n    return Perm._unchecked(5, t)\n"
+              "def product(t):\n    return Perm._unchecked(5, t)\n"
+              "e = FFElem._unchecked(spec, 0)\n"
+              "p = self.perm._unchecked(5, t)\n")
+    assert _unchecked_faults(source) == [4, 7, 8]
 
 
 def _object_setattr_uses(source):
@@ -339,6 +358,9 @@ def test_only_fields_lists_a_whole_field():
     # subfield_elements and field_elements build every element of a field;
     # over 2^40 or 3^25 that never finishes, so the other modules reach
     # elements through elements_of_degree or fixed coordinates instead
+    defined = {node.name for node in ast.walk(ast.parse((PACKAGE / "fields.py").read_text(
+        encoding="utf-8"))) if isinstance(node, ast.FunctionDef)}
+    assert set(_WHOLE_FIELD_LISTS) <= defined  # the rule is not vacuous
     found = [
         f"{path.name}:{line}"
         for path in sorted(PACKAGE.glob("*.py")) if path.name != "fields.py"
