@@ -140,11 +140,8 @@ def aut_table() -> tuple[AutDescription, ...]:
 
 
 def aut_group_of(label: ClassLabel | str) -> AutDescription:
-    name = label.name if isinstance(label, ClassLabel) else label
-    for row in aut_table():
-        if row.label.name == name:
-            return row
-    raise ValueError(f"unknown class label {name!r} for degree 5")
+    rep = class_representative(label, 5)  # ValueError for an unknown or degree-6 label
+    return next(row for row in aut_table() if class_representative(row.label) == rep)
 
 
 # --- existence of G-minimal surfaces -------------------------------------------

@@ -47,7 +47,10 @@ class CurveGraph(_Record):
 
     def index(self, vertex: frozenset[int]) -> int:
         """1-indexed position of a vertex label."""
-        return self.vertices.index(frozenset(vertex)) + 1
+        try:
+            return self.vertices.index(frozenset(vertex)) + 1
+        except ValueError:
+            raise ValueError(f"not a vertex label: {set(vertex)}") from None
 
     def adjacent(self, v: frozenset[int], w: frozenset[int]) -> bool:
         return self.adjacency[self.index(v) - 1][self.index(w) - 1]
@@ -155,9 +158,8 @@ def has_invariant_independent_set(
 
 def vertex_stabilizer(vertex: frozenset[int]) -> Subgroup:
     """All of S5 fixing the given degree-5 vertex setwise (order 12)."""
+    curve_graph(5).index(vertex)  # ValueError for anything but a vertex label
     v = frozenset(vertex)
-    if v not in curve_graph(5).vertices:
-        raise ValueError(f"not a vertex label: {set(vertex)}")
     elems = [s for s in symmetric_group_elements(5) if s.apply_set(v) == v]
     return Subgroup(5, _reduced_generators(elems, 5), elems)
 
@@ -172,9 +174,8 @@ def blowdown_action(
     action is restricted to the six vertices sharing exactly one point with
     it.  Returns the induced subgroup of hexagon symmetries and its label.
     """
+    curve_graph(5).index(vertex)  # ValueError for anything but a vertex label
     v = frozenset(vertex)
-    if v not in curve_graph(5).vertices:
-        raise ValueError(f"not a vertex label: {set(vertex)}")
     if v not in invariant_vertices(group):
         raise ValueError("not in stabilizer")
     mover = next(

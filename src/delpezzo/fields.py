@@ -30,7 +30,7 @@ import re
 from functools import lru_cache
 from typing import Iterator
 
-from .perms import _MAX_DIGITS, _Record
+from .perms import _MAX_DIGITS, _grow, _Record
 
 
 # --- polynomials over F_p as packed ints ------------------------------------
@@ -572,12 +572,7 @@ def in_base_field(x: FFElem) -> bool:
 
 def frobenius_orbit(x: FFElem) -> tuple[FFElem, ...]:
     """x, x^q, x^(q^2), ... up to (but not including) the first repeat."""
-    out = [x]
-    y = frobenius(x)
-    while y != x:
-        out.append(y)
-        y = frobenius(y)
-    return tuple(out)
+    return tuple(_grow([x], [frobenius]))
 
 
 def element_degree(x: FFElem) -> int:

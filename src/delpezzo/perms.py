@@ -273,17 +273,22 @@ def generate(gens: Iterable[Perm], degree: int | None = None) -> Subgroup:
     return Subgroup(degree, gens, [Perm._unchecked(degree, images) for images in closure])
 
 
+def _grow(found: list, maps: Sequence[Callable]) -> list:
+    """Extend ``found`` in place with every image under ``maps`` not yet in it,
+    in the order first met, and return it: its closure under the maps."""
+    seen = set(found)
+    for x in found:  # grows while it is walked
+        for f in maps:
+            y = f(x)
+            if y not in seen:
+                seen.add(y)
+                found.append(y)
+    return found
+
+
 def _closure(gens: Sequence[tuple[int, ...]], degree: int) -> list[tuple[int, ...]]:
     """Image tuples of the group generated by the given image tuples."""
-    found = [tuple(range(degree))]
-    seen = set(found)
-    for a in found:  # grows while it is walked
-        for g in gens:
-            c = tuple([a[j] for j in g])
-            if c not in seen:
-                seen.add(c)
-                found.append(c)
-    return found
+    return _grow([tuple(range(degree))], [lambda a, g=g: tuple([a[j] for j in g]) for g in gens])
 
 
 def orbits(group: Subgroup) -> tuple[tuple[int, ...], ...]:
@@ -296,18 +301,8 @@ def _orbits(gens: Sequence[Callable[[int], int]], degree: int) -> tuple[tuple[in
     remaining = set(range(1, degree + 1))
     out = []
     while remaining:
-        start = min(remaining)
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            p = frontier.pop()
-            for g in gens:
-                q = g(p)
-                if q not in orbit:
-                    orbit.add(q)
-                    frontier.append(q)
-        remaining -= orbit
-        out.append(tuple(sorted(orbit)))
+        out.append(tuple(sorted(_grow([min(remaining)], gens))))
+        remaining.difference_update(out[-1])
     return tuple(out)
 
 
@@ -383,6 +378,8 @@ HEX_VERTEX_LABELS: tuple[frozenset[int], ...] = (
 
 def hexagon_restriction(sigma: Perm) -> Perm:
     """Restrict a {4,5}-stabilizing S5 element to the hexagon vertices."""
+    if sigma.degree != 5:
+        raise ValueError("expected an element of S5")
     if sigma.apply_set({4, 5}) != frozenset({4, 5}):
         raise ValueError("not in stabilizer")
     return Perm(HEX_VERTEX_LABELS.index(sigma.apply_set(v)) for v in HEX_VERTEX_LABELS)
@@ -529,8 +526,12 @@ def class_label(group: Subgroup, degree_context: int) -> ClassLabel:
 
 
 def class_representative(label: ClassLabel | str, degree_context: int | None = None) -> Subgroup:
-    """Representative subgroup of a class given by label (or label name)."""
+    """Representative subgroup of a class given by label (or label name); a
+    ``ClassLabel`` whose degree differs from a given ``degree_context`` is refused."""
     if isinstance(label, ClassLabel):
+        if degree_context not in (None, label.degree_context):
+            raise ValueError(f"class label {label.name!r} is for degree {label.degree_context}, "
+                             f"not {degree_context}")
         degree_context = label.degree_context
         name = label.name
     else:
@@ -562,15 +563,10 @@ def _Lattice(degree_context: int) -> tuple[Subgroup, ...]:
     """The subgroup lattice, built uncached; ``all_subgroups`` looks it up at call time."""
     reps = _pinned_classes(degree_context)[0].values()  # ValueError for other degrees
     ambient = symmetric_group_elements(5) if degree_context == 5 else hexagon_group_elements()
-    pairs = [(g.images, g.inverse().images) for g in _reduced_generators(ambient, degree_context)]
-    found = [frozenset(h.images for h in rep.elements) for rep in reps]
-    seen = set(found)
-    for elements in found:  # grows while it is walked
-        for g, g_inv in pairs:
-            c = frozenset(tuple([g[h[j]] for j in g_inv]) for h in elements)  # g * h * g^-1
-            if c not in seen:
-                seen.add(c)
-                found.append(c)
+    conjugations = [lambda s, g=g.images, g_inv=g.inverse().images:  # H -> g * H * g^-1
+                    frozenset(tuple([g[h[j]] for j in g_inv]) for h in s)
+                    for g in _reduced_generators(ambient, degree_context)]
+    found = _grow([frozenset(h.images for h in rep.elements) for rep in reps], conjugations)
     members = ([Perm._unchecked(degree_context, h) for h in s]
                for s in sorted(sorted(map(sorted, found)), key=len))
     return tuple(Subgroup(degree_context, _reduced_generators(e, degree_context), e) for e in members)

@@ -221,6 +221,10 @@ class TestGMinimalExists:
 @pytest.mark.parametrize("call, message", [
     pytest.param(lambda: g_minimal_exists(class_representative("[Z/3]", 6), finite(2)),
                  "degree mismatch", id="g_minimal_exists"),
+    pytest.param(lambda: aut_group_of(ClassLabel(6, "[e]")),
+                 "class label '[e]' is for degree 6, not 5", id="aut_group_of_degree6"),
+    pytest.param(lambda: realizable(ClassLabel(6, "[Z/6]"), finite(7), 5),
+                 "class label '[Z/6]' is for degree 6, not 5", id="realizable_degree6"),
 ])
 def test_library_errors(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

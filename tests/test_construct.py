@@ -1302,6 +1302,8 @@ class TestRealizeVerifyProperty:
                  "a plane point needs three coordinates in one field", id="conic_point"),
     pytest.param(lambda: points_with_action(F7, class_representative("[Z/6]", 6)),
                  "degree mismatch", id="points_with_action"),
+    pytest.param(lambda: realize_dp5(F7, ClassLabel(6, "[e]")),
+                 "class label '[e]' is for degree 6, not 5", id="realize_dp5_degree6_label"),
 ])
 def test_library_errors(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

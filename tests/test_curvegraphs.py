@@ -276,6 +276,12 @@ class TestDot:
                  id="blowdown_action_degree6"),
     pytest.param(lambda: C.to_dot(C.curve_graph(5), P.generate([], 6)),
                  "expected a subgroup of S5", id="to_dot_degree6"),
+    # {7, 8} is no 2-subset of {1..5}; a set of two small ints prints in this order
+    pytest.param(lambda: C.curve_graph(5).index({7, 8}), "not a vertex label: {8, 7}", id="index"),
+    pytest.param(lambda: C.curve_graph(5).adjacent({1, 2}, {7, 8}), "not a vertex label: {8, 7}",
+                 id="adjacent"),
+    pytest.param(lambda: C.graph_action(P.parse_perm("(1 2)", 5)).image({7, 8}),
+                 "not a vertex label: {8, 7}", id="image"),
 ])
 def test_library_errors(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -3,6 +3,7 @@ import re
 from collections import Counter
 
 import pytest
+from reference_perms import _closure as reference_closure
 from reference_perms import (
     commuting_elements,
     order_by_cycles,
@@ -351,6 +352,20 @@ class TestLatticeOracles:
         assert len(P._Lattice(5)) + len(P._Lattice(6)) == 172
         assert calls == Counter()
 
+    def test_generate_and_orbits_agree_with_the_reference_closure(self):
+        # random generator sets in degrees 1..6, closed by the brute-force
+        # oracle; the orbit of i is {h(i) : h in the group}
+        rng = random.Random(20261021)
+        for degree in range(1, 7):
+            points = list(range(degree))
+            for _ in range(25):
+                gens = [Perm(rng.sample(points, degree)) for _ in range(rng.randint(0, 3))]
+                group = reference_closure([g.images for g in gens], degree)
+                sub = P.generate(gens, degree)
+                assert [h.images for h in sub.elements] == sorted(group)
+                assert P.orbits(sub) == tuple(sorted(
+                    {tuple(sorted({h[i] + 1 for h in group})) for i in points}))
+
     def test_centralizer_is_the_commuting_set(self):
         s5 = P.symmetric_group_elements(5)
         for sub in P.all_subgroups(5):
@@ -513,12 +528,18 @@ class TestCyclicGenerator:
                  "centralizer is taken inside S5; expected degree 5", id="centralizer"),
     pytest.param(lambda: P.hexagon_restriction(P.parse_perm("(1 4)", 5)),
                  "not in stabilizer", id="hexagon_restriction"),
+    pytest.param(lambda: P.hexagon_restriction(P.parse_perm("(6 7)", 7)),
+                 "expected an element of S5", id="hexagon_restriction_degree7"),
+    pytest.param(lambda: P.hexagon_restriction(P.parse_perm("(1 6)", 6)),
+                 "expected an element of S5", id="hexagon_restriction_degree6"),
     pytest.param(lambda: P.hex_embed_s5(Perm([1, 0]), 0),
                  "the S3 factor must be a permutation of degree 3", id="hex_embed_s5"),
     pytest.param(lambda: P.hex_decompose(Perm(range(5))),
                  "expected a vertex permutation of degree 6", id="hex_decompose"),
     pytest.param(lambda: P.class_representative("[e]"),
                  "degree_context is required with a string label", id="class_representative"),
+    pytest.param(lambda: P.class_representative(ClassLabel(6, "[e]"), 5),
+                 "class label '[e]' is for degree 6, not 5", id="class_representative_degree"),
     pytest.param(lambda: P.class_label(P.generate([], 5), 7), "unsupported degree",
                  id="class_label"),
 ])

@@ -146,6 +146,27 @@ _PLANTED_FAULTS = [
     ("check_minimal_rank", "induced_lattice_action",
      lambda real: lambda sigma: SimpleNamespace(apply=lambda cls: -cls),
      "outside the conic classes"),
+    ("check_minimal_rank", "contains_order5",
+     lambda real: lambda sub: not real(sub),
+     "rank-1 criterion fails"),
+    ("check_invariant_vertices", "contains_order5",
+     lambda real: lambda sub: False,
+     "no invariant independent set"),
+    ("check_invariant_vertices", "invariant_vertices",
+     lambda real: lambda sub: (),
+     "vertex-stabilizer conjugate fixes nothing"),
+    ("check_graph_isomorphism", "minus_one_classes",
+     lambda real: lambda degree: real(degree)[::-1],
+     "vertex labels out of order"),
+    ("check_graph_isomorphism", "intersect",
+     lambda real: lambda a, b: real(a, b) if real(a, b) == 1 else real(a, b) - 5,
+     "unexpected intersection number"),
+    ("check_minimal_existence", "g_minimal_exists",
+     lambda real: lambda group, cap: (real(group, cap)[0], perms.ClassLabel(5, "[S5]")),
+     "non-realizable witness"),
+    ("check_class_census", "symmetric_group_elements",
+     lambda real: lambda degree: real(degree)[:-1],
+     "degree 5: ambient group size 119"),
 ]
 
 
