@@ -315,8 +315,7 @@ class FieldSpec(_Record):
     _value = ("p", "m", "modulus", "base_degree")
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...], base_degree: int):
-        if _prime_power(p) != (p, 1):
-            raise ValueError("p is not prime")
+        _check_field(p, m)
         if m < 1 or base_degree < 1 or m % base_degree:
             raise ValueError("base degree must divide the absolute degree")
         if len(modulus) != m + 1 or modulus[-1] != 1:
@@ -354,11 +353,10 @@ class FieldSpec(_Record):
 @lru_cache(maxsize=None)
 def make_field(p: int, base_degree: int, relative_degree: int) -> FieldSpec:
     """The canonical F_{q^n} over F_q, q = p^base_degree, n = relative_degree."""
-    if _prime_power(p) != (p, 1):
-        raise ValueError("p is not prime")
     if base_degree < 1 or relative_degree < 1:
         raise ValueError("degrees must be positive")
     m = base_degree * relative_degree
+    _check_field(p, m)
     return FieldSpec(p, m, _modulus(p, m), base_degree)
 
 
@@ -382,12 +380,22 @@ def _modulus(p: int, m: int) -> tuple[int, ...]:
     raise RuntimeError("unreachable: an irreducible of every degree exists")
 
 
-# Literal ceilings, checked before any field is built.  No working field needs
-# a relative degree above 6, the largest lcm of Frobenius orbit lengths.
+# Ceilings, checked before any field is built.  No working field needs a
+# relative degree above 6, the largest lcm of Frobenius orbit lengths.
 MAX_CHARACTERISTIC = 2 ** 16
 MAX_BASE_FIELD = 2 ** 40
 MAX_RELATIVE_DEGREE = 6
 _LITERAL_RE = re.compile(r"([0-9]+)(?:\^([0-9]+)(?::base=([0-9]+))?)?")
+
+
+def _check_field(p, m: int) -> None:
+    """p below the ceiling and prime, and p^m at most 2^240, before any modulus is searched."""
+    if isinstance(p, int) and p >= MAX_CHARACTERISTIC:
+        raise ValueError("characteristic must be below 2^16")
+    if _prime_power(p) != (p, 1):
+        raise ValueError("p is not prime")
+    if m > 240 or p ** m > MAX_BASE_FIELD ** MAX_RELATIVE_DEGREE:  # p >= 2: no p ** m past 2^240
+        raise ValueError("field must have at most 2^240 elements")
 
 
 def parse_field_literal(text: str) -> FieldSpec:
@@ -460,7 +468,7 @@ class FFElem(_Record):
             return self.inverse() ** (-e)
         return _elem(self.spec, self.spec._r.powmod(self._v, e, self.spec._g))
 
-    def __hash__(self) -> int:  # the int alone: _Record's would hash the modulus each call
+    def __hash__(self) -> int:  # the int alone, so a PlanePoint of ints hashes as its coords
         return hash(self._v)
 
     def __bool__(self) -> bool:

@@ -41,12 +41,12 @@ class _Record:
 
     ``__init__`` sets every field once, with one ``_set`` call, as
     ``_unchecked`` does for fields already checked; equality and
-    hash run over the value tuple, as those of a frozen dataclass do, and repr
+    hash run over the value, as those of a frozen dataclass do, and repr
     over every field.  The value is every field, or the fields a class lists
     in ``_value`` (a ``Subgroup`` is its degree and elements, not the
-    generators that name it).  It has at least two fields, so ``_fields``
-    gives a tuple.  ``Perm``'s own ``__eq__`` and ``__hash__`` take half as long
-    (check-paper calls each over 10 000 times); ``fields.FFElem`` hashes its int.
+    generators that name it); one listed field is the value itself, so a
+    ``Perm`` hashes as its image tuple.  Only ``fields.FFElem`` has its own
+    hash, its int's, so a ``PlanePoint`` of packed ints hashes as its coords.
     """
 
     __slots__ = ()
@@ -90,6 +90,7 @@ class Perm(_Record):
     """A permutation of {1, .., degree}, stored as a 0-indexed image tuple."""
 
     __slots__ = ("degree", "images")
+    _value = ("images",)  # the degree is len(images)
 
     def __init__(self, images: Sequence[int]):
         images = tuple(images)
@@ -151,13 +152,6 @@ class Perm(_Record):
         if not cycs:
             return "()"
         return "".join("(" + " ".join(str(p) for p in cyc) + ")" for cyc in cycs)
-
-    # not _Record's, which take about twice as long; check-paper calls each over 10 000 times
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Perm) and self.images == other.images
-
-    def __hash__(self) -> int:
-        return hash(self.images)
 
     def __lt__(self, other: "Perm") -> bool:
         if not isinstance(other, Perm):

@@ -676,6 +676,15 @@ class TestSumsOfProducts:
 # library errors that no other test reaches, with their exact text
 @pytest.mark.parametrize("call, message", [
     pytest.param(lambda: make_field(2, 0, 1), "degrees must be positive", id="make_field"),
+    # the ceilings answer before p is trial-divided or a modulus searched
+    pytest.param(lambda: make_field(65537, 1, 1), "characteristic must be below 2^16",
+                 id="make_field_characteristic"),
+    pytest.param(lambda: make_field(2, 1, 241), "field must have at most 2^240 elements",
+                 id="make_field_size"),
+    pytest.param(lambda: make_field(7, 1, 10 ** 700), "field must have at most 2^240 elements",
+                 id="make_field_huge_degree"),
+    pytest.param(lambda: FieldSpec(65537, 1, (0, 1), 1), "characteristic must be below 2^16",
+                 id="field_spec_characteristic"),
     pytest.param(lambda: FFElem(make_field(7, 1, 1), (1,)) + FFElem(make_field(7, 1, 2), (1,)),
                  "elements of different fields", id="add"),
 ])

@@ -404,6 +404,27 @@ class TestSubgroupIdentity:
             assert (sub == other) is False and sub != other
 
 
+class TestPermIdentity:
+    # a Perm's value is its image tuple alone, compared and hashed through
+    # perms._Record, so a Perm hashes as that tuple
+    @pytest.mark.parametrize("degree, ambient", _AMBIENTS)
+    def test_hash_is_the_hash_of_the_images(self, degree, ambient):
+        assert len(ambient) == {5: 120, 6: 12}[degree]
+        for g in ambient:
+            assert hash(g) == hash(g.images)
+
+    @pytest.mark.parametrize("degree, ambient", _AMBIENTS)
+    def test_equal_images_give_equal_perms(self, degree, ambient):
+        for g in ambient:
+            twin = Perm(list(g.images))
+            assert twin == g and not twin != g and hash(twin) == hash(g) and twin is not g
+
+    def test_a_non_perm_is_not_implemented(self):
+        g = P.parse_perm("(1 2 3)", 5)
+        assert g.__eq__(1) is NotImplemented and g.__eq__(g.images) is NotImplemented
+        assert (g == 1) is False and g != g.images
+
+
 class TestClassLabels:
     def test_label_prints_as_its_name(self):
         assert str(ClassLabel(5, "[e]")) == "[e]"

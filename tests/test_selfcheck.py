@@ -105,9 +105,25 @@ def test_run_all_writes_no_file(monkeypatch):
     assert len(results) == 10
 
 
+def _cli_fault(change):
+    """A fault for selfcheck._run_cli: ``change(argv, code, out)`` is what a call returns."""
+    return lambda real: lambda *argv, **kwargs: change(argv, *real(*argv, **kwargs))
+
+
+def _first_model_fault(change):
+    """A fault for selfcheck._round_trips: ``change(model)`` replaces the first model."""
+    def fault(real):
+        def round_trips(*args):
+            models, problem = real(*args)
+            (q, label, model), *rest = models
+            return [(q, label, change(model))] + rest, problem
+        return round_trips
+    return fault
+
+
 # Each check against a planted fault in the package function it compares to:
-# (check, name patched in selfcheck, fault made from the real function, the
-# start of the failure detail).
+# (check, name patched in selfcheck, fault made from the real function or
+# table, the start of the failure detail).
 _PLANTED_FAULTS = [
     ("check_aut_table", "aut_table",
      lambda real: lambda: [SimpleNamespace(label=row.label, aut_group=perms.generate([], 5))
@@ -167,6 +183,32 @@ _PLANTED_FAULTS = [
     ("check_class_census", "symmetric_group_elements",
      lambda real: lambda degree: real(degree)[:-1],
      "degree 5: ambient group size 119"),
+    ("check_class_census", "_run_cli",
+     _cli_fault(lambda argv, code, out: (1, "") if argv[0] == "classes" else (code, out)),
+     "degree 5: exit 1; degree 6: exit 1"),
+    ("check_aut_table", "_run_cli",
+     _cli_fault(lambda argv, code, out: (1, "") if argv[0] == "aut-table" else (code, out)),
+     "exit 1"),
+    ("check_aut_table", "_run_cli",
+     _cli_fault(lambda argv, code, out: (code, out.replace('"S5"', '"e"', 1))),
+     "table mismatch: [('[e]', 'e', 120), "),
+    ("check_invariant_vertices", "class_label",
+     lambda real: lambda sub, degree: (perms.ClassLabel(5, "[A4]")
+                                       if real(sub, degree).name == "[S4]" else real(sub, degree)),
+     "maximal order-5-free classes: ['[A4]', '[S3xZ/2Z]']"),
+    ("check_realization_sweep", "_round_trips",
+     _first_model_fault(lambda model: {**model, "construction": "conic5"}),
+     "[e] over F_2: construction conic5, expected fourpoints"),
+    ("check_realization_sweep", "_run_cli",
+     _cli_fault(lambda argv, code, out:
+                (0, out) if argv[0] == "realize" and "--json" not in argv else (code, out)),
+     "non-cyclic [<(1,2),(3,4)>] over F_2 not rejected"),
+    ("check_complexity_thresholds", "_FALLBACK_EXPECTED",
+     lambda real: {**real, 2: real[2] - {"[Z/3Z]"}},
+     "fallback set at q=2: "),
+    ("check_degree6_pipeline", "_round_trips",
+     _first_model_fault(lambda model: {k: v for k, v in model.items() if k != "blowdown_vertex"}),
+     "bad degree-6 model for [e] over F_2"),
 ]
 
 

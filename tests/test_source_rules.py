@@ -315,15 +315,15 @@ def test_the_guard_rule_sees_a_definition():
 # the classes that may define each identity method; every other frozen value
 # compares and hashes over its value fields through perms._Record
 _IDENTITY_OWNERS = {
-    "__eq__": {("perms.py", "_Record"), ("perms.py", "Perm")},
-    "__hash__": {("perms.py", "_Record"), ("perms.py", "Perm"), ("fields.py", "FFElem")},
+    "__eq__": {("perms.py", "_Record")},
+    "__hash__": {("perms.py", "_Record"), ("fields.py", "FFElem")},
 }
 
 
 def test_only_record_perm_and_ffelem_define_identity():
-    # Perm keeps both methods and FFElem its hash, since _Record's take
-    # longer per call where these run most; a Subgroup or a FieldSpec lists
-    # its value fields in _value instead of writing its own
+    # FFElem hashes as its int, so a PlanePoint of packed ints hashes as its
+    # (spec, coords); a Perm, a Subgroup or a FieldSpec lists its value
+    # fields in _value instead of writing its own
     found = [
         f"{path.name}:{line}:{owner}:{dunder}"
         for path in sorted(PACKAGE.glob("*.py"))
