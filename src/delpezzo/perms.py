@@ -100,6 +100,7 @@ class Perm(_Record):
 
     @classmethod
     def identity(cls, degree: int) -> "Perm":
+        _check_degree(degree, "permutation")
         return cls(range(degree))
 
     def __call__(self, point: int) -> int:
@@ -174,10 +175,22 @@ _SEPARATOR_RE = re.compile(r"[,\s]+", re.ASCII)
 _BLANK_RE = re.compile(r"\s*", re.ASCII)
 # Below 640, the lowest limit sys.set_int_max_str_digits accepts for int().
 _MAX_DIGITS = 600
+# The ten (-1)-curves give the largest permutations, and a model with no
+# points has the degree-0 Frobenius "()".  The package closes S5 and the
+# hexagon group; S6 is the largest group the bound lets a caller close.
+_DEGREES = {"permutation": range(11), "group": range(1, 7)}
+
+
+def _check_degree(degree: int, kind: str) -> None:
+    """Refuse a degree outside its kind's bound, before anything of that size is built."""
+    allowed = _DEGREES[kind]
+    if degree not in allowed:
+        raise ValueError(f"{kind} degree must be in {allowed[0]}..{allowed[-1]}")
 
 
 def parse_perm(text: str, degree: int) -> Perm:
     """Parse cycle notation like "(1 2)(3 4)" or "(1,2)" (ASCII only); "()" is the identity."""
+    _check_degree(degree, "permutation")
     stripped = _CYCLE_RE.sub("", text)
     if not _BLANK_RE.fullmatch(stripped):
         raise ValueError(f"cannot parse permutation {text!r}")
@@ -204,6 +217,7 @@ def parse_perm(text: str, degree: int) -> Perm:
 
 def parse_generators(text: str, degree: int) -> tuple[Perm, ...]:
     """Parse a ';'-separated list of permutations in cycle notation."""
+    _check_degree(degree, "permutation")
     parts = [part for part in text.split(";") if not _BLANK_RE.fullmatch(part)]
     return tuple(parse_perm(part, degree) for part in parts)
 
@@ -261,6 +275,7 @@ def generate(gens: Iterable[Perm], degree: int | None = None) -> Subgroup:
         if not gens:
             raise ValueError("degree is required for an empty generating set")
         degree = gens[0].degree
+    _check_degree(degree, "group")
     if any(g.degree != degree for g in gens):
         raise ValueError("degree mismatch")
     closure = _closure([g.images for g in gens], degree)
@@ -320,6 +335,7 @@ def cyclic_generator(group: Subgroup) -> Perm:
 
 @lru_cache(maxsize=None)
 def symmetric_group_elements(degree: int) -> tuple[Perm, ...]:
+    _check_degree(degree, "group")
     return tuple(Perm(images) for images in itertools.permutations(range(degree)))
 
 

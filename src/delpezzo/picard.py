@@ -16,7 +16,6 @@ Everything here is exact integer arithmetic.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 
 from .perms import Perm, Subgroup, _Record, contains_order5, generate, orbits
@@ -111,37 +110,31 @@ def intersect(a: PicClass, b: PicClass) -> int:
     )
 
 
-@lru_cache(maxsize=None)
+def _labeled_class(degree_context: int, label: frozenset[int]) -> PicClass:
+    """The (-1)-class of a Kneser label: E_i at {i,5}, else H minus each E_j with j
+    not in the label.  So {a,b} in {1..4} is H - E_c - E_d in degree 5, and the
+    hexagon label {k,4} is H - E_i - E_j in degree 6, where {i,j,k} = {1,2,3}."""
+    if 5 in label:
+        return e_class(degree_context, min(label))
+    n = _rank(degree_context)
+    return PicClass(degree_context, (1,) + tuple(0 if j in label else -1 for j in range(1, n)))
+
+
 def minus_one_classes(
     degree_context: int,
 ) -> tuple[tuple[PicClass, frozenset[int]], ...]:
     """The (-1)-classes with their Kneser labels, in graph vertex order."""
     from .curvegraphs import curve_graph
 
-    n_exc = _rank(degree_context) - 1
-    by_label: dict[frozenset[int], PicClass] = {}
-    for i in range(1, n_exc + 1):
-        by_label[frozenset({i, 5})] = e_class(degree_context, i)
-    for i, j in itertools.combinations(range(1, n_exc + 1), 2):
-        cls = h_class(degree_context) - e_class(degree_context, i) - e_class(
-            degree_context, j
-        )
-        if degree_context == 5:
-            label = frozenset({1, 2, 3, 4}) - {i, j}
-        else:
-            (k,) = set({1, 2, 3}) - {i, j}
-            label = frozenset({k, 4})
-        by_label[label] = cls
-    return tuple(
-        (by_label[v], v) for v in curve_graph(degree_context).vertices
-    )
+    vertices = curve_graph(degree_context).vertices
+    return tuple((_labeled_class(degree_context, v), v) for v in vertices)
 
 
 def conic_classes() -> tuple[PicClass, ...]:
     """The five degree-5 conic classes: H - E_i and 2H - E1 - E2 - E3 - E4."""
     h = h_class(5)
     out = [h - e_class(5, i) for i in range(1, 5)]
-    out.append(2 * h - e_class(5, 1) - e_class(5, 2) - e_class(5, 3) - e_class(5, 4))
+    out.append(-canonical_class(5) - h)
     return tuple(out)
 
 
@@ -185,24 +178,17 @@ class LatticeAction(_Record):
 def induced_lattice_action(sigma: Perm) -> LatticeAction:
     """The lattice isometry induced by an S5 relabeling of the (-1)-curves.
 
-    Columns are the images of H, E1..E4; the image of E_i is the class
-    labeled sigma({i,5}), and H = (H-E1-E2) + E1 + E2 maps to the sum of the
-    classes labeled sigma({3,4}), sigma({1,5}), sigma({2,5}).
+    Columns are the images of H, E1..E4, each the class that ``_labeled_class``
+    gives the image of a label: E_i maps to the class labeled sigma({i,5}),
+    and H = (H-E1-E2) + E1 + E2 to the sum of the classes labeled
+    sigma({3,4}), sigma({1,5}), sigma({2,5}).
     """
     if sigma.degree != 5:
         raise ValueError("expected an element of S5")
-    by_label = {label: cls for cls, label in minus_one_classes(5)}  # all ten 2-subsets
-    cols = []
-    h_img = (
-        by_label[sigma.apply_set({3, 4})]
-        + by_label[sigma.apply_set({1, 5})]
-        + by_label[sigma.apply_set({2, 5})]
-    )
-    cols.append(h_img.coords)
-    for i in range(1, 5):
-        cols.append(by_label[sigma.apply_set({i, 5})].coords)
-    matrix = tuple(tuple(cols[j][i] for j in range(5)) for i in range(5))
-    return LatticeAction(5, matrix)
+    line, *exceptional = (_labeled_class(5, sigma.apply_set(label))
+                          for label in ({3, 4}, {1, 5}, {2, 5}, {3, 5}, {4, 5}))
+    cols = [line + exceptional[0] + exceptional[1], *exceptional]
+    return LatticeAction(5, tuple(zip(*(c.coords for c in cols))))
 
 
 def invariant_rank(group: Subgroup) -> int:

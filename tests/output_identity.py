@@ -9,9 +9,12 @@ The digest covers, in this order, each output with its exit code:
    of FIELDS, 435 calls in one process; a refused type adds its error line;
 5. the generators, elements and hash of each of the 172 subgroups of the
    lattice (156 of S5, 16 of the hexagon group), and the generators of the
-   centralizer of each of the 156.
+   centralizer of each of the 156;
+6. each (-1)-class of both degrees with its Kneser label, its string and its
+   coords, the five conic classes, and the matrix of the lattice action of
+   each of the 120 elements of S5.
 Parts 1 and 2 run in fresh interpreters, parts 3 and 4 through `cli.main`,
-part 5 through `perms`.
+part 5 through `perms` and part 6 through `picard`.
 Two checkouts whose digests match print the same bytes for all of it.  The
 script takes about 4 s; tests/test_output_identity.py pins its digest.
 
@@ -28,7 +31,7 @@ import sys
 from pathlib import Path
 
 import delpezzo
-from delpezzo import cli, perms
+from delpezzo import cli, perms, picard
 
 SRC = Path(delpezzo.__file__).resolve().parent.parent
 DEMOS = SRC.parent / "demos"
@@ -83,6 +86,14 @@ def outputs():
     for sub in perms.all_subgroups(5):
         yield (f"centralizer of {cycles(sub.generators)}", 0,
                cycles(perms.centralizer(sub).generators))
+    for degree in (5, 6):
+        for cls, label in picard.minus_one_classes(degree):
+            yield (f"(-1)-class of degree {degree}", 0, f"{sorted(label)} | {cls} | {cls.coords}")
+    for cls in picard.conic_classes():
+        yield ("conic class", 0, f"{cls} | {cls.coords}")
+    for sigma in perms.symmetric_group_elements(5):
+        yield (f"lattice action of {sigma.cycle_string()}", 0,
+               str(picard.induced_lattice_action(sigma).matrix))
 
 
 def cycles(elements):

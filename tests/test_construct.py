@@ -775,6 +775,19 @@ class TestJsonRoundTrip:
         assert any(name == "blow-down vertex invariant" and not ok
                    for name, ok, _ in checks)
 
+    def test_zero_point_model_parses_and_fails_the_point_count(self):
+        # the Frobenius of no points is the degree-0 "()", which parse_perm keeps
+        data = small_field_realize(F3, "[<(1,2)>]").to_json()
+        data["points"], data["frobenius"] = [], "()"
+        assert verify_json(data) == [
+            ("model parses", True, ""),
+            ("point count", False, "0 points"),
+            ("construction tag consistent", False, "'fourpoints' with 0 points, on_conic=False"),
+            ("frobenius stability", True, ""),
+            ("frobenius permutation matches", True, ""),
+            ("general position", False, "general position needs at least three points"),
+        ]
+
     def test_unparseable_model(self):
         checks = verify_json({"degree": 5})
         assert checks == [("model parses", False, checks[0][2])]

@@ -563,6 +563,33 @@ class TestCyclicGenerator:
                  "class label '[e]' is for degree 6, not 5", id="class_representative_degree"),
     pytest.param(lambda: P.class_label(P.generate([], 5), 7), "unsupported degree",
                  id="class_label"),
+    pytest.param(lambda: P.parse_perm("()", 10 ** 700), "permutation degree must be in 0..10",
+                 id="parse_perm_huge"),
+    pytest.param(lambda: P.parse_perm("()", 11), "permutation degree must be in 0..10",
+                 id="parse_perm_11"),
+    pytest.param(lambda: P.parse_perm("()", -1), "permutation degree must be in 0..10",
+                 id="parse_perm_negative"),
+    pytest.param(lambda: P.parse_generators("(1 2)", 10 ** 700),
+                 "permutation degree must be in 0..10", id="parse_generators_huge"),
+    pytest.param(lambda: P.parse_generators("", 11), "permutation degree must be in 0..10",
+                 id="parse_generators_empty_11"),
+    pytest.param(lambda: Perm.identity(10 ** 700), "permutation degree must be in 0..10",
+                 id="identity_huge"),
+    pytest.param(lambda: Perm.identity(11), "permutation degree must be in 0..10",
+                 id="identity_11"),
+    pytest.param(lambda: P.symmetric_group_elements(10 ** 700), "group degree must be in 1..6",
+                 id="symmetric_group_huge"),
+    pytest.param(lambda: P.symmetric_group_elements(7), "group degree must be in 1..6",
+                 id="symmetric_group_7"),
+    pytest.param(lambda: P.symmetric_group_elements(0), "group degree must be in 1..6",
+                 id="symmetric_group_0"),
+    pytest.param(lambda: P.symmetric_group_elements(-1), "group degree must be in 1..6",
+                 id="symmetric_group_negative"),
+    pytest.param(lambda: P.generate([], -1), "group degree must be in 1..6",
+                 id="generate_negative"),
+    pytest.param(lambda: P.generate([], 7), "group degree must be in 1..6", id="generate_7"),
+    pytest.param(lambda: P.complexity(P.generate([], 0)), "group degree must be in 1..6",
+                 id="complexity_degree0"),
 ])
 def test_library_errors(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
