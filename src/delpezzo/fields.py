@@ -19,7 +19,10 @@ arithmetic happens inside this one common field; base-field membership is
 No randomness and no floating point: irreducibility is tested with
 gcd(f, x^(p^k) - x) for k <= m/2 (Ben-Or), after a sieve that drops the
 candidates x^m + h + c with a root in F_p a line (all c in F_p) at a time
-(and the line of binomials where none is irreducible), and
+(and the line of binomials where none is irreducible), and, for odd p, the
+trinomials x^m + a*x + c whose discriminant an irreducible cannot have.  A
+candidate the root sieve passed skips the gcd at k = 1, and the modulus the
+search proves is not proved again by the FieldSpec built from it.
 Frobenius maps are applied as sums of cached packed columns (x^(q^k))^j mod f,
 so repeated orbit scans stay cheap.
 """
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from math import isqrt
 from typing import Iterator
 
 from .perms import _MAX_DIGITS, _grow, _Record
@@ -238,14 +242,14 @@ def _ring(p: int, m: int) -> _Fp:
     return _F2(p, m) if p == 2 else _Fp(p, m)
 
 
-@lru_cache(maxsize=256)
-def _is_irreducible(p: int, m: int, f: int) -> bool:
+def _is_irreducible(p: int, m: int, f: int, rootless: bool = False) -> bool:
     """No factor of degree k <= m/2 (Ben-Or), batched: the x^(p^k) - x are
     multiplied into one product mod f, and a gcd is taken only at k = 1, 2,
     4, ... and m/2.  An irreducible factor of f divides the product mod f
     exactly when it divides one of its terms, so each gcd tests every k up
-    to there.  Cached, so the FieldSpec that make_field builds from the
-    modulus it found does not repeat the proof."""
+    to there.  A ``rootless`` f, one with no root in F_p, has no factor of
+    degree 1, so its gcd at k = 1 would find nothing and is skipped; the
+    gcd at k = 2 still covers k = 1, and at m <= 3 no gcd is left to take."""
     ring = _ring(p, m)
     g = ring.sub(0, f - (1 << m * ring.w))
     x = t = 1 << ring.w
@@ -253,9 +257,25 @@ def _is_irreducible(p: int, m: int, f: int) -> bool:
     for k in range(1, m // 2 + 1):
         t = ring.powmod(t, p, g)
         product = ring.mul(product, ring.sub(t, x), g)
-        if (k & (k - 1) == 0 or k == m // 2) and ring.gcd(f, product) >> ring.w:
+        if k > rootless and (k & (k - 1) == 0 or k == m // 2) and ring.gcd(f, product) >> ring.w:
             return False  # a common factor of positive degree
     return True
+
+
+def _trinomial_test(p: int, m: int, a: int):
+    """c -> whether x^m + a*x + c, p odd and a != 0, passes its discriminant.
+
+    A squarefree f of degree m over F_p with r irreducible factors has
+    (disc f / p) = (-1)^(m - r) (Stickelberger), so an irreducible f needs a
+    nonzero discriminant, a square for odd m and a non-square for even m.
+    Here disc = (-1)^(m(m-1)/2) (m^m c^(m-1) + (1 - m)^(m-1) a^m) (Swan,
+    Pacific J. Math. 12, 1962); Euler's criterion reads its symbol, two small
+    ``pow`` per c.
+    """
+    sign, half = (-1) ** (m * (m - 1) // 2), (p - 1) // 2
+    lead, tail = sign * pow(m, m, p), sign * pow(1 - m, m - 1, p) * pow(a, m, p)
+    want = 1 if m % 2 else p - 1  # Euler's criterion of a square, of a non-square
+    return lambda c: pow(lead * pow(c, m - 1, p) + tail, half, p) == want
 
 
 # make_field's root sieve costs p * m steps of about 0.1 us a line.  Below this
@@ -285,19 +305,43 @@ def _span(ring: _Fp, rows) -> Iterator[int]:
 
 
 def _prime_power(q) -> tuple[int, int] | None:
-    """(p, e) with q = p^e for a prime p, by trial division; None for any other q."""
+    """(p, e) with q = p^e for a prime p; None for any other q.  Exact below
+    3.4 * 10^12, and every caller bounds q at 2^40 first.
+
+    Trial division finds each prime factor p with p^3 <= q.  With none, q has
+    at most two prime factors, so it is a prime power only as a prime or as the
+    square of one (a composite square root's least factor r has r^4 <= q).
+    Primality is Miller-Rabin to the bases 2, 3, 5, 7, 11 and 13, which is
+    deterministic below 3 474 749 660 383 (Jaeschke, Math. Comp. 61, 1993).
+    """
     if not isinstance(q, int) or q < 2:
         return None
     p = 2
-    while p * p <= q and q % p:
-        p += 1
-    if p * p > q:
-        p = q  # no divisor up to the square root: q is prime
-    e = 0
-    while q % p == 0:
-        q //= p
-        e += 1
-    return (p, e) if q == 1 else None
+    while p * p * p <= q and q % p:
+        p += 1 if p == 2 else 2
+    if p * p * p <= q:  # p is the least prime factor of q
+        e = 0
+        while q % p == 0:
+            q //= p
+            e += 1
+        return (p, e) if q == 1 else None
+    root = isqrt(q)
+    if root * root == q:
+        return root, 2
+    d, s = q - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7, 11, 13):
+        x = pow(a, d, q)
+        if x in (0, 1, q - 1):  # 0 when q is a itself
+            continue
+        for _ in range(s - 1):
+            x = x * x % q
+            if x == q - 1:
+                break
+        else:
+            return None  # a witnesses that q is composite
+    return q, 1
 
 
 # --- field descriptors and elements ------------------------------------------
@@ -322,12 +366,9 @@ class FieldSpec(_Record):
             raise ValueError("modulus must be monic of the right degree")
         if any(not 0 <= c < p for c in modulus):
             raise ValueError("modulus coefficients out of range")
-        ring = _ring(p, m)
-        f = ring.pack(modulus)
-        if not _is_irreducible(p, m, f):
+        self._set(*_spec_slots(p, m, modulus, base_degree))
+        if not _is_irreducible(p, m, self._f):
             raise ValueError("modulus is reducible")
-        g = ring.sub(0, f - (1 << m * ring.w))
-        self._set(p, m, modulus, base_degree, ring, f, g, {}, {})
 
     @property
     def q(self) -> int:
@@ -357,13 +398,23 @@ def make_field(p: int, base_degree: int, relative_degree: int) -> FieldSpec:
         raise ValueError("degrees must be positive")
     m = base_degree * relative_degree
     _check_field(p, m)
-    return FieldSpec(p, m, _modulus(p, m), base_degree)
+    return FieldSpec._unchecked(*_spec_slots(p, m, _modulus(p, m), base_degree))  # proved by the search
+
+
+def _spec_slots(p: int, m: int, modulus: tuple[int, ...], base_degree: int) -> tuple:
+    """A FieldSpec's slots: its four fields, the packing, the packed modulus f
+    with x^m = g, and its empty Frobenius and subfield tables."""
+    ring = _ring(p, m)
+    f = ring.pack(modulus)
+    return p, m, modulus, base_degree, ring, f, ring.sub(0, f - (1 << m * ring.w)), {}, {}
 
 
 @lru_cache(maxsize=None)
 def _modulus(p: int, m: int) -> tuple[int, ...]:
     """The canonical modulus of degree m over F_p, searched once per (p, m); make_field
-    stays cached per triple, as each FieldSpec owns its Frobenius tables."""
+    stays cached per triple, as each FieldSpec owns its Frobenius tables.  Each
+    candidate it skips untested is reducible by a theorem, so the first irreducible
+    in index order is the one that a test of every candidate would find."""
     ring = _ring(p, m)
     lead = 1 << (m * ring.w)
     sieve = 1 < m and p * m < _SIEVE_CUT  # at m = 1 every x + c has a root, yet x is irreducible
@@ -374,8 +425,11 @@ def _modulus(p: int, m: int) -> tuple[int, ...]:
         if not (h or binomials):
             continue  # else no x^m + c is irreducible (Lidl & Niederreiter, Theorem 3.75)
         rooted = ring.rooted(lead + h) if sieve else ()
+        # h = a*x: the line of trinomials x^m + a*x + c, for odd p sieved by discriminant
+        passes = _trinomial_test(p, m, h >> ring.w) if p > 2 and 0 < h < 1 << 2 * ring.w else None
         for c in range(p):
-            if c not in rooted and _is_irreducible(p, m, lead + h + c):
+            if (c not in rooted and (passes is None or passes(c))
+                    and _is_irreducible(p, m, lead + h + c, sieve)):  # sieved: rootless
                 return tuple(ring.unpack(lead + h + c))
     raise RuntimeError("unreachable: an irreducible of every degree exists")
 

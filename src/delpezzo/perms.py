@@ -106,7 +106,8 @@ class Perm(_Record):
     def __call__(self, point: int) -> int:
         """Image of a 1-indexed point."""
         if not 1 <= point <= self.degree:
-            raise ValueError(f"point {point} out of range 1..{self.degree}")
+            shown = f"point {point}" if _short(point) else "point"
+            raise ValueError(f"{shown} out of range 1..{self.degree}")
         return self.images[point - 1] + 1
 
     def apply_set(self, points: Iterable[int]) -> frozenset[int]:
@@ -179,6 +180,12 @@ _MAX_DIGITS = 600
 # points has the degree-0 Frobenius "()".  The package closes S5 and the
 # hexagon group; S6 is the largest group the bound lets a caller close.
 _DEGREES = {"permutation": range(11), "group": range(1, 7)}
+
+
+def _short(n: int) -> bool:
+    """Whether an error text may echo the int n: at most 20 digits keeps it
+    short, and past 4 300 digits Python refuses to write an int at all."""
+    return -10 ** 20 < n < 10 ** 20
 
 
 def _check_degree(degree: int, kind: str) -> None:

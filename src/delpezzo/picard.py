@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .perms import Perm, Subgroup, _Record, contains_order5, generate, orbits
+from .perms import Perm, Subgroup, _Record, _short, contains_order5, generate, orbits
 
 
 _RANK = {5: 5, 6: 4}
@@ -90,7 +90,8 @@ def h_class(degree_context: int) -> PicClass:
 def e_class(degree_context: int, i: int) -> PicClass:
     n = _rank(degree_context)
     if not 1 <= i <= n - 1:
-        raise ValueError(f"no exceptional class E{i} in degree {degree_context}")
+        shown = f"E{i}" if _short(i) else "E_i"
+        raise ValueError(f"no exceptional class {shown} in degree {degree_context}")
     coords = [0] * n
     coords[i] = 1
     return PicClass(degree_context, tuple(coords))

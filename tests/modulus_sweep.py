@@ -2,13 +2,13 @@
 
 A literal names p < 2^16, a base field F_{p^e} with p^e <= 2^40 and a
 relative degree n <= 6, so the search runs at m = e * n.  Each distinct
-(p, m) is searched once, with the search, irreducibility and ring caches
-cleared first, so every pair is timed cold.  It also prints one sha256 over
-repr((p, m, modulus)) of every pair in order, so two checkouts' moduli can be
-compared whole, and one over repr((p, m, tests, gcds)), the work of each
-search: its Ben-Or tests (the misses of the cleared irreducibility cache) and
-the gcds they take.  The work digest reads the same on any host, so two
-checkouts that search alike print it alike.  This is a hand-run measurement,
+(p, m) is searched once, with the search and ring caches cleared first, so
+every pair is timed cold.  It also prints one sha256 over repr((p, m,
+modulus)) of every pair in order, so two checkouts' moduli can be compared
+whole, and one over repr((p, m, tests, gcds)), the work of each search: its
+Ben-Or tests (the calls of the irreducibility test) and the gcds they take.
+The work digest reads the same on any host, so two checkouts that search
+alike print it alike.  This is a hand-run measurement,
 not a test: pytest does not collect it, and it takes about a minute.
 
     PYTHONPATH=src python tests/modulus_sweep.py
@@ -36,25 +36,30 @@ def accepted_pairs():
 
 def main():
     times, digest, work = [], hashlib.sha256(), hashlib.sha256()
-    gcds, gcd = [0], fields._Fp.gcd  # _F2 inherits gcd, so this counts every ring's
+    counts = {"tests": 0, "gcds": 0}
+    irreducible, gcd = fields._is_irreducible, fields._Fp.gcd  # _F2 inherits gcd: every ring's
+
+    def counted_irreducible(*args):
+        counts["tests"] += 1
+        return irreducible(*args)
 
     def counted_gcd(ring, a, b):
-        gcds[0] += 1
+        counts["gcds"] += 1
         return gcd(ring, a, b)
 
-    fields._Fp.gcd = counted_gcd
+    fields._is_irreducible, fields._Fp.gcd = counted_irreducible, counted_gcd
     for p, m in accepted_pairs():
-        for cached in (fields._modulus, fields._is_irreducible, fields._ring):
+        for cached in (fields._modulus, fields._ring):
             cached.cache_clear()
-        gcds[0] = 0
+        counts.update(tests=0, gcds=0)
         start = time.perf_counter()
         modulus = fields._modulus(p, m)
         elapsed = time.perf_counter() - start
-        tests = fields._is_irreducible.cache_info().misses
-        times.append((elapsed, p, m, tests, gcds[0]))
+        tests, n_gcds = counts["tests"], counts["gcds"]
+        times.append((elapsed, p, m, tests, n_gcds))
         digest.update(repr((p, m, modulus)).encode())
-        work.update(repr((p, m, tests, gcds[0])).encode())
-    fields._Fp.gcd = gcd
+        work.update(repr((p, m, tests, n_gcds)).encode())
+    fields._is_irreducible, fields._Fp.gcd = irreducible, gcd
     total = sum(row[0] for row in times)
     print(f"{len(times)} (p, m) pairs in {total:.1f} s; "
           f"median {statistics.median(row[0] for row in times) * 1e3:.2f} ms")

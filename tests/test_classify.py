@@ -116,11 +116,22 @@ class TestCapabilities:
                 finite(bad)
 
     def test_finite_of_a_large_prime_is_quick(self):
-        # trial division stops at the square root (10^4 steps here); a scan
+        # trial division stops at the cube root (about 230 steps here); a scan
         # up to q itself took seconds
         start = time.perf_counter()
         assert finite(100000007).q == 100000007
         assert time.perf_counter() - start < 1.0
+
+    def test_finite_of_a_prime_near_the_ceiling_is_quick(self):
+        # trial division stops at the cube root (5 000 odd steps) and Miller-
+        # Rabin decides the rest, where the square root would be 5 * 10^5
+        # steps; best of 3, so one descheduled run does not fail it
+        timings = []
+        for _ in range(3):
+            start = time.perf_counter()
+            assert finite(10 ** 12 + 39).q == 10 ** 12 + 39
+            timings.append(time.perf_counter() - start)
+        assert min(timings) < 0.005
 
     def test_finite_refuses_q_above_the_base_field_ceiling_quickly(self):
         # trial division to the square root of 2^61 - 1 ran for seconds; q

@@ -2,6 +2,7 @@
 
 import random
 import re
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -543,36 +544,86 @@ class TestModulusSearch:
                 quintics.append(f)
             if len(quintics) == 2:
                 break
-        irreducible = fields._is_irreducible.__wrapped__
+        irreducible = fields._is_irreducible
         for f in quintics:
             assert irreducible(p, 5, fields._ring(p, 5).pack(f))
         assert not irreducible(p, 10, fields._ring(p, 10).pack(_pmul(*quintics, p)))
 
     def test_batched_gcds_of_the_3_25_working_field_search(self, monkeypatch):
         # the modulus of 3^150 ([Z/6Z] over 3^25): 105 candidates reach the
-        # gcd test, which takes 353 gcds, one per power of 2 and at m/2,
-        # where one per k takes 717.  The binomial line is skipped whole (the
-        # prime 3 | 150 does not divide 3 - 1); testing x^150 + 1 took 2 more
+        # gcd test.  One gcd per power of 2 from k = 1 and at m/2 took 353,
+        # where one per k takes 717.  3 * 150 is below the sieve cut, so each
+        # of the 105 passed the root sieve and skips its gcd at k = 1, which
+        # could find nothing: 353 - 105 = 248.  The discriminant rejects no
+        # trinomial here: 3 | 150 leaves -(1 - 150)^149 a^150 = 2 mod 3 for
+        # every a and c, a non-square, as an even degree needs.  The binomial
+        # line is skipped whole (the prime 3 | 150 does not divide 3 - 1);
+        # testing x^150 + 1 took 2 more
         modulus, calls = make_field(3, 25, 6).modulus, []
         gcd = fields._Fp.gcd
-        monkeypatch.setattr(fields, "_is_irreducible", fields._is_irreducible.__wrapped__)
         monkeypatch.setattr(fields._Fp, "gcd",
                             lambda ring, *args: calls.append(args) or gcd(ring, *args))
         assert fields._modulus.__wrapped__(3, 150) == modulus
-        assert len(calls) == 353
+        assert len(calls) == 248
 
-    @pytest.mark.parametrize("p, m, tests, gcds", [(127, 25, 1309, 3599), (233, 30, 1167, 2070)])
+    @pytest.mark.parametrize("p, m, tests, gcds", [(127, 25, 673, 1150), (233, 30, 523, 904)])
     def test_ben_or_tests_and_gcds_of_two_slow_searches(self, monkeypatch, p, m, tests, gcds):
         # work counts that read the same on any host, for two of the slowest
-        # accepted searches; a change in either count is a change in search work
+        # accepted searches; a change in either count is a change in search work.
+        # Testing every candidate the root sieve passes, with a gcd at k = 1,
+        # took 1 309 tests and 3 599 gcds at (127, 25), and 1 167 and 2 070 at
+        # (233, 30).  The discriminant rejects 636 trinomials there (they took
+        # 1 776 of the gcds) and 644 here (1 166); the 673 tests left at
+        # (127, 25) each skip the gcd at k = 1: 3 599 - 1 776 - 673 = 1 150.
+        # 233 * 30 is above the sieve cut, so (233, 30) keeps every k = 1
+        # gcd: 2 070 - 1 166 = 904
         calls = []
-        irreducible, gcd = fields._is_irreducible.__wrapped__, fields._Fp.gcd
+        irreducible, gcd = fields._is_irreducible, fields._Fp.gcd
         monkeypatch.setattr(fields, "_is_irreducible",
                             lambda *args: calls.append("test") or irreducible(*args))
         monkeypatch.setattr(fields._Fp, "gcd",
                             lambda ring, *args: calls.append("gcd") or gcd(ring, *args))
         assert len(fields._modulus.__wrapped__(p, m)) == m + 1
         assert (calls.count("test"), calls.count("gcd")) == (tests, gcds)
+
+    def test_one_proof_per_modulus(self, monkeypatch):
+        # make_field builds its FieldSpec from the modulus the search just
+        # proved, so a new (p, m) runs one successful Ben-Or test and a
+        # second base degree of it runs none; a FieldSpec built directly
+        # still proves its modulus
+        proofs, irreducible = [], fields._is_irreducible
+
+        def counted(*args):
+            verdict = irreducible(*args)
+            proofs.extend([args] * verdict)
+            return verdict
+
+        monkeypatch.setattr(fields, "_is_irreducible", counted)
+        monkeypatch.setattr(fields, "_modulus", lru_cache(fields._modulus.__wrapped__))
+        spec = fields.make_field.__wrapped__(13, 1, 6)
+        assert len(proofs) == 1
+        assert fields.make_field.__wrapped__(13, 2, 3).modulus == spec.modulus
+        assert fields.make_field.__wrapped__(13, 3, 2) == make_field(13, 3, 2)
+        assert len(proofs) == 1
+        assert FieldSpec(13, 6, spec.modulus, 1) == spec
+        assert len(proofs) == 2
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_the_discriminant_rejects_only_reducible_trinomials(self, p):
+        # every x^m + a*x + c, a != 0, for 2 <= m <= 8: the rule (Swan's
+        # discriminant and Stickelberger's parity) may reject only what the
+        # reference finds reducible, so it never rejects an irreducible one.
+        # It must reject some (a rule that rejects nothing would pass), though
+        # not at every m: where p | m the discriminant is constant in c
+        rejected = 0
+        for m in range(2, 9):
+            for a in range(1, p):
+                passes = fields._trinomial_test(p, m, a)
+                for c in range(p):
+                    if not passes(c):
+                        rejected += 1
+                        assert not _is_irreducible((c, a) + (0,) * (m - 2) + (1,), p), (m, a, c)
+        assert rejected > p
 
     def test_one_search_per_p_and_m(self, monkeypatch):
         spec = make_field(3, 1, 4)
@@ -685,6 +736,8 @@ class TestSumsOfProducts:
                  id="make_field_huge_degree"),
     pytest.param(lambda: FieldSpec(65537, 1, (0, 1), 1), "characteristic must be below 2^16",
                  id="field_spec_characteristic"),
+    pytest.param(lambda: FieldSpec(2, 2, (1, 0, 1), 1), "modulus is reducible",
+                 id="field_spec_reducible"),
     pytest.param(lambda: FFElem(make_field(7, 1, 1), (1,)) + FFElem(make_field(7, 1, 2), (1,)),
                  "elements of different fields", id="add"),
 ])

@@ -544,6 +544,13 @@ class TestCyclicGenerator:
 # library errors that no other test reaches, with their exact text
 @pytest.mark.parametrize("call, message", [
     pytest.param(lambda: Perm(range(5))(6), "point 6 out of range 1..5", id="point"),
+    # a huge point is not echoed: the text stays short, and past 4 300 digits
+    # Python refuses to write the int at all
+    pytest.param(lambda: Perm(range(5))(10 ** 700), "point out of range 1..5", id="point_huge"),
+    pytest.param(lambda: Perm(range(5))(10 ** 5000), "point out of range 1..5",
+                 id="point_past_the_str_limit"),
+    pytest.param(lambda: Perm(range(5))(-10 ** 5000), "point out of range 1..5",
+                 id="point_negative_past_the_str_limit"),
     pytest.param(lambda: Perm(range(5)) * Perm(range(4)), "degree mismatch", id="product"),
     pytest.param(lambda: P.centralizer(P.generate([], 6)),
                  "centralizer is taken inside S5; expected degree 5", id="centralizer"),

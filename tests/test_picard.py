@@ -251,6 +251,11 @@ class TestMinimality:
 # library errors that no other test reaches, with their exact text
 @pytest.mark.parametrize("call, message", [
     pytest.param(lambda: L.e_class(5, 5), "no exceptional class E5 in degree 5", id="e_class"),
+    # a huge index is not echoed (see test_perms' point_huge)
+    pytest.param(lambda: L.e_class(5, 10 ** 700), "no exceptional class E_i in degree 5",
+                 id="e_class_huge"),
+    pytest.param(lambda: L.e_class(6, 10 ** 5000), "no exceptional class E_i in degree 6",
+                 id="e_class_past_the_str_limit"),
     pytest.param(lambda: L.induced_lattice_action(P.Perm(range(4))), "expected an element of S5",
                  id="induced_lattice_action"),
     pytest.param(lambda: L.invariant_rank(P.generate([], 6)), "expected a subgroup of S5",

@@ -5,7 +5,9 @@ code with it.  sympy is a test dependency only and stays out of src/.
 """
 
 import itertools
+import random
 
+from sympy import factorint, nextprime
 from sympy.combinatorics import Permutation, PermutationGroup, SymmetricGroup
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_irreducible_p
@@ -58,3 +60,28 @@ def test_each_automorphism_group_is_the_centralizer_in_s5():
         assert centralizer.order() == row.aut_group.order, row.label.name
         assert {tuple(g.array_form) for g in centralizer.elements} == \
             {g.images for g in row.aut_group}, row.label.name
+
+
+def _sympy_prime_power(q):
+    factors = factorint(q)
+    return next(iter(factors.items())) if len(factors) == 1 else None
+
+
+def test_prime_power_matches_sympy_up_to_the_base_field_ceiling():
+    # a seeded sample up to 2^40 of each kind the test separates: any q, primes,
+    # prime squares and cubes, products of two primes above the cube root and
+    # squares of composites; then Carmichael numbers and the least strong
+    # pseudoprimes to the bases 2..7 (3.2 * 10^9) and 2..11 (2.2 * 10^12, past
+    # the ceiling but below the bound the test is exact to), which only the
+    # later bases of Miller-Rabin catch
+    rng = random.Random(2302)
+    top = fields.MAX_BASE_FIELD
+    primes = [q for q in (int(nextprime(rng.randrange(2, top))) for _ in range(300)) if q <= top]
+    mid = [int(nextprime(rng.randrange(10 ** 4, 10 ** 6))) for _ in range(200)]
+    sample = ([rng.randrange(2, top + 1) for _ in range(2000)] + primes
+              + [p * p for p in mid] + [p ** 3 for p in mid if p ** 3 <= top]
+              + [a * b for a, b in zip(mid, mid[1:]) if a * b <= top]
+              + [(a * b) ** 2 for a, b in zip(mid, [3, 5, 7, 11] * 50) if (a * b) ** 2 <= top]
+              + [561, 41041, 825265, 3215031751, 2152302898747, top, top - 87])
+    for q in sample:
+        assert fields._prime_power(q) == _sympy_prime_power(q), q
